@@ -7,13 +7,19 @@ denote the same boolean function exactly when they are the same object.
 Each variable is a stem plus two decorations: a copy generation (0 for
 the live variable, n > 0 for the n-th frozen snapshot of it, printed
 with a degree sign) and a prime flag (used for the target side of
-relations).  The diagram order groups all decorated forms of a stem
-into one block, in declaration order of the stems, so allocating a new
-snapshot never reorders variables that already exist.
+relations).  The diagram order is allocation order: declaring a stem or
+allocating a snapshot appends the plain variable at the end of the
+order, with its primed copy directly after it.  A variable's integer
+level is fixed when it is allocated and never changes, so allocating
+never reorders variables that already exist and every diagram built
+earlier stays valid.  Snapshots therefore sit below the event variables
+that were declared before them, which keeps the law of a chain of
+factual changes linear in the number of events.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -47,12 +53,18 @@ class VarId:
         return f"VarId({self.name})"
 
 
+# Terminals sit below every variable, so "level > lvl" also stops at them.
+_TERMINAL = sys.maxsize
+
+
 class _Node:
-    """Internal diagram node; terminals have var None."""
+    """Internal diagram node: the level and variable it tests, and its
+    two children.  Terminals have var None and level _TERMINAL."""
 
-    __slots__ = ("var", "lo", "hi")
+    __slots__ = ("level", "var", "lo", "hi")
 
-    def __init__(self, var, lo, hi):
+    def __init__(self, level, var, lo, hi):
+        self.level = level
         self.var = var
         self.lo = lo
         self.hi = hi
@@ -66,12 +78,14 @@ class Engine:
     """
 
     def __init__(self):
-        self._blocks: dict[str, int] = {}
-        self._copies: dict[str, int] = {}
+        # level of each stem's plain variable per copy generation; the
+        # primed copy of a variable is always at the next level
+        self._stems: dict[str, list[int]] = {}
+        self._vars: list[VarId] = []
         self._unique: dict[tuple, _Node] = {}
         self._cache: dict[tuple, _Node] = {}
-        self._true = _Node(None, None, None)
-        self._false = _Node(None, None, None)
+        self._true = _Node(_TERMINAL, None, None, None)
+        self._false = _Node(_TERMINAL, None, None, None)
         self.true = BoolFn(self, self._true)
         self.false = BoolFn(self, self._false)
 
@@ -81,13 +95,14 @@ class Engine:
         """Declare (or look up) the plain variable with the given stem."""
         if not stem or any(c in "'°" or c.isspace() for c in stem):
             raise BoolFnError(f"bad variable stem: {stem!r}")
-        if stem not in self._blocks:
-            self._blocks[stem] = len(self._blocks)
-            self._copies[stem] = 0
-        return VarId(stem)
+        generations = self._stems.get(stem)
+        if generations is None:
+            generations = self._stems[stem] = []
+            self._allocate(stem, generations)
+        return self._vars[generations[0]]
 
     def has_variable(self, stem: str) -> bool:
-        return stem in self._blocks
+        return stem in self._stems
 
     def fresh_stem(self, prefix: str) -> VarId:
         """Declare a new variable named prefix1, prefix2, ... whichever is free."""
@@ -105,28 +120,39 @@ class Engine:
         self._check_var(var)
         if var.primed or var.copy:
             raise BoolFnError(f"can only snapshot a plain variable, got {var.name}")
-        self._copies[var.stem] += 1
-        return VarId(var.stem, self._copies[var.stem])
+        generations = self._stems[var.stem]
+        self._allocate(var.stem, generations)
+        return self._vars[generations[-1]]
+
+    def _allocate(self, stem, generations):
+        # The next generation goes at the end of the order, primed copy
+        # directly after; existing levels never change.
+        copy = len(generations)
+        generations.append(len(self._vars))
+        self._vars.append(VarId(stem, copy))
+        self._vars.append(VarId(stem, copy, True))
 
     def primed(self, var: VarId) -> VarId:
-        self._check_var(var)
+        lvl = self._check_var(var)
         if var.primed:
             raise BoolFnError(f"{var.name} is already primed")
-        return VarId(var.stem, var.copy, True)
+        return self._vars[lvl + 1]
 
     def unprimed(self, var: VarId) -> VarId:
-        self._check_var(var)
-        return VarId(var.stem, var.copy, False)
+        return self._vars[self._check_var(var) - var.primed]
 
-    def _check_var(self, var):
-        if not isinstance(var, VarId) or var.stem not in self._blocks:
+    def level(self, var: VarId) -> int:
+        """Position of var in the diagram order, fixed at allocation."""
+        return self._check_var(var)
+
+    def _check_var(self, var) -> int:
+        # Returns the level, so public operations validate and look up once.
+        generations = self._stems.get(var.stem) if isinstance(var, VarId) else None
+        if generations is None:
             raise BoolFnError(f"variable not declared in this engine: {var!r}")
-        if var.copy < 0 or var.copy > self._copies[var.stem]:
+        if not 0 <= var.copy < len(generations):
             raise BoolFnError(f"snapshot {var.name} was never allocated")
-
-    def _level(self, var):
-        # Block by stem, snapshots after the live variable, primed after plain.
-        return (self._blocks[var.stem], var.copy, var.primed)
+        return generations[var.copy] + var.primed
 
     # -- construction ---------------------------------------------------
 
@@ -135,16 +161,15 @@ class Engine:
 
     def atom(self, var: VarId) -> BoolFn:
         """The function that is true exactly when var is true."""
-        self._check_var(var)
-        return BoolFn(self, self._mk(var, self._false, self._true))
+        return BoolFn(self, self._mk(self._check_var(var), self._false, self._true))
 
-    def _mk(self, var, lo, hi):
+    def _mk(self, level, lo, hi):
         if lo is hi:
             return lo
-        key = (var, id(lo), id(hi))
+        key = (level, id(lo), id(hi))
         node = self._unique.get(key)
         if node is None:
-            node = _Node(var, lo, hi)
+            node = _Node(level, self._vars[level], lo, hi)
             self._unique[key] = node
         return node
 
@@ -163,7 +188,7 @@ class Engine:
         key = ("not", id(u))
         r = self._cache.get(key)
         if r is None:
-            r = self._mk(u.var, self._neg(u.lo), self._neg(u.hi))
+            r = self._mk(u.level, self._neg(u.lo), self._neg(u.hi))
             self._cache[key] = r
         return r
 
@@ -204,11 +229,13 @@ class Engine:
         r = self._cache.get(key)
         if r is not None:
             return r
-        lu, lv = self._level(u.var), self._level(v.var)
-        top = u.var if lu <= lv else v.var
-        u0, u1 = (u.lo, u.hi) if u.var == top else (u, u)
-        v0, v1 = (v.lo, v.hi) if v.var == top else (v, v)
-        r = self._mk(top, self._apply(op, u0, v0), self._apply(op, u1, v1))
+        lu, lv = u.level, v.level
+        if lu == lv:
+            r = self._mk(lu, self._apply(op, u.lo, v.lo), self._apply(op, u.hi, v.hi))
+        elif lu < lv:
+            r = self._mk(lu, self._apply(op, u.lo, v), self._apply(op, u.hi, v))
+        else:
+            r = self._mk(lv, self._apply(op, u, v.lo), self._apply(op, u, v.hi))
         self._cache[key] = r
         return r
 
@@ -217,45 +244,38 @@ class Engine:
             "or", self._apply("and", c, u), self._apply("and", self._neg(c), v)
         )
 
-    def _restrict(self, u, var, value):
-        if u.var is None:
-            return u
-        lvl = self._level(var)
-        lu = self._level(u.var)
-        if lu > lvl:
-            return u  # var cannot occur below its own level
-        if u.var == var:
+    def _restrict(self, u, lvl, value):
+        if u.level > lvl:
+            return u  # lvl cannot occur below its own level
+        if u.level == lvl:
             return u.hi if value else u.lo
-        key = ("restrict", id(u), var, value)
+        key = ("restrict", id(u), lvl, value)
         r = self._cache.get(key)
         if r is None:
             r = self._mk(
-                u.var,
-                self._restrict(u.lo, var, value),
-                self._restrict(u.hi, var, value),
+                u.level,
+                self._restrict(u.lo, lvl, value),
+                self._restrict(u.hi, lvl, value),
             )
             self._cache[key] = r
         return r
 
-    def _quant(self, u, var, conj):
-        if u.var is None:
+    def _quant(self, u, lvl, conj):
+        if u.level > lvl:
             return u
-        lvl = self._level(var)
-        lu = self._level(u.var)
-        if lu > lvl:
-            return u
-        if u.var == var:
+        if u.level == lvl:
             return self._apply("and" if conj else "or", u.lo, u.hi)
-        key = ("all" if conj else "any", id(u), var)
+        key = ("all" if conj else "any", id(u), lvl)
         r = self._cache.get(key)
         if r is None:
             r = self._mk(
-                u.var, self._quant(u.lo, var, conj), self._quant(u.hi, var, conj)
+                u.level, self._quant(u.lo, lvl, conj), self._quant(u.hi, lvl, conj)
             )
             self._cache[key] = r
         return r
 
     def _compose(self, u, subst, memo):
+        # subst maps levels to nodes.
         if u.var is None:
             return u
         r = memo.get(id(u))
@@ -263,9 +283,9 @@ class Engine:
             return r
         lo = self._compose(u.lo, subst, memo)
         hi = self._compose(u.hi, subst, memo)
-        g = subst.get(u.var)
+        g = subst.get(u.level)
         if g is None:
-            g = self._mk(u.var, self._false, self._true)
+            g = self._mk(u.level, self._false, self._true)
         r = self._ite(g, hi, lo)
         memo[id(u)] = r
         return r
@@ -305,8 +325,8 @@ class Engine:
         return self.combine("or", list(args))
 
     def restrict(self, f: "BoolFn", var: VarId, value: bool) -> BoolFn:
-        self._check_var(var)
-        return BoolFn(self, self._restrict(self._node_of(f), var, bool(value)))
+        lvl = self._check_var(var)
+        return BoolFn(self, self._restrict(self._node_of(f), lvl, bool(value)))
 
     def forall(self, f: "BoolFn", variables: Iterable[VarId]) -> BoolFn:
         return self._quantify(f, variables, True)
@@ -316,12 +336,10 @@ class Engine:
 
     def _quantify(self, f, variables, conj):
         node = self._node_of(f)
-        vs = list(variables)
-        for v in vs:
-            self._check_var(v)
+        levels = {self._check_var(v) for v in variables}
         # innermost first keeps the intermediate diagrams at or below the root
-        for v in sorted(vs, key=self._level, reverse=True):
-            node = self._quant(node, v, conj)
+        for lvl in sorted(levels, reverse=True):
+            node = self._quant(node, lvl, conj)
         return BoolFn(self, node)
 
     def compose(self, f: "BoolFn", var: VarId, g: "BoolFn") -> BoolFn:
@@ -332,8 +350,7 @@ class Engine:
         """Simultaneous substitution of functions for variables."""
         subst = {}
         for var, g in binding.items():
-            self._check_var(var)
-            subst[var] = self._node_of(g)
+            subst[self._check_var(var)] = self._node_of(g)
         return BoolFn(self, self._compose(self._node_of(f), subst, {}))
 
     def rename(self, f: "BoolFn", mapping: Mapping[VarId, VarId]) -> BoolFn:
@@ -346,37 +363,41 @@ class Engine:
         sup = self._support(node)
         live = {}
         for old, new in mapping.items():
-            self._check_var(old)
-            self._check_var(new)
-            if old in sup and old != new:
-                live[old] = new
+            src, dst = self._check_var(old), self._check_var(new)
+            if src in sup and src != dst:
+                live[src] = dst
         targets = list(live.values())
         if len(set(targets)) != len(targets):
             raise BoolFnError("rename is not injective on the support")
-        fixed = sup - set(live)
-        clash = fixed & set(targets)
+        clash = (sup - live.keys()) & set(targets)
         if clash:
-            names = ", ".join(sorted(v.name for v in clash))
+            names = ", ".join(sorted(self._vars[lvl].name for lvl in clash))
             raise BoolFnError(f"rename target collides with kept variable: {names}")
-        subst = {old: self._mk(new, self._false, self._true) for old, new in live.items()}
+        subst = {src: self._mk(dst, self._false, self._true) for src, dst in live.items()}
         return BoolFn(self, self._compose(node, subst, {}))
 
     def support(self, f: "BoolFn") -> frozenset[VarId]:
-        return self._support(self._node_of(f))
+        return frozenset(self._vars[lvl] for lvl in self._support(self._node_of(f)))
 
     def _support(self, node):
-        out = set()
-        seen = set()
+        return {u.level for u in self._nodes(node)}
+
+    def _nodes(self, node):
+        """The distinct non-terminal nodes reachable from node."""
+        seen = {}
         stack = [node]
         while stack:
             u = stack.pop()
             if u.var is None or id(u) in seen:
                 continue
-            seen.add(id(u))
-            out.add(u.var)
+            seen[id(u)] = u
             stack.append(u.lo)
             stack.append(u.hi)
-        return frozenset(out)
+        return seen.values()
+
+    def node_count(self, f: "BoolFn") -> int:
+        """Number of distinct non-terminal nodes in f's diagram."""
+        return len(self._nodes(self._node_of(f)))
 
     # -- queries ----------------------------------------------------------
 
@@ -412,15 +433,14 @@ class Engine:
         """
         node = self._node_of(f)
         uni = list(universe)
-        for v in uni:
-            self._check_var(v)
-        if len(set(uni)) != len(uni):
+        levels = [self._check_var(v) for v in uni]
+        if len(set(levels)) != len(levels):
             raise BoolFnError("universe contains a repeated variable")
-        missing = self._support(node) - set(uni)
+        order = sorted(zip(levels, uni))
+        missing = self._support(node) - set(levels)
         if missing:
-            names = ", ".join(sorted(v.name for v in missing))
+            names = ", ".join(sorted(self._vars[lvl].name for lvl in missing))
             raise BoolFnError(f"support outside the universe: {names}")
-        order = sorted(uni, key=self._level)
         out = []
 
         def walk(u, i, chosen):
@@ -429,8 +449,8 @@ class Engine:
             if i == len(order):
                 out.append(frozenset(chosen))
                 return
-            v = order[i]
-            if u.var == v:
+            lvl, v = order[i]
+            if u.level == lvl:
                 walk(u.lo, i + 1, chosen)
                 walk(u.hi, i + 1, chosen + [v])
             else:
@@ -450,24 +470,23 @@ class Engine:
         """Number of satisfying subsets of universe."""
         node = self._node_of(f)
         given = list(universe)
-        uni = sorted(set(given), key=self._level)
-        if len(uni) != len(given):
+        levels = sorted({self._check_var(v) for v in given})
+        if len(levels) != len(given):
             raise BoolFnError("universe contains a repeated variable")
-        missing = self._support(node) - set(uni)
-        if missing:
+        if self._support(node) - set(levels):
             raise BoolFnError("support outside the universe")
-        level_of = {v: i for i, v in enumerate(uni)}
+        rank = {lvl: i for i, lvl in enumerate(levels)}
         memo = {}
 
         def walk(u, i):
             if u is self._false:
                 return 0
             if u.var is None:
-                return 2 ** (len(uni) - i)
+                return 2 ** (len(levels) - i)
             key = (id(u), i)
             r = memo.get(key)
             if r is None:
-                j = level_of[u.var]
+                j = rank[u.level]
                 r = 2 ** (j - i) * (walk(u.lo, j + 1) + walk(u.hi, j + 1))
                 memo[key] = r
             return r
@@ -542,6 +561,10 @@ class BoolFn:
 
     def holds(self, assignment: Iterable[VarId]) -> bool:
         return self.engine.holds(self, assignment)
+
+    def node_count(self) -> int:
+        """Number of distinct non-terminal nodes in the diagram."""
+        return self.engine.node_count(self)
 
     def __repr__(self):
         if self.is_true:

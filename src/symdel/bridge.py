@@ -237,6 +237,16 @@ class Bounds:
     max_events: int = 3
 
 
+def _names(first: tuple[str, ...], count: int) -> list[str]:
+    """count distinct names: first, then first again suffixed _1, _2, ...
+
+    A suffixed name never has the letter-then-digits form that
+    Engine.fresh_stem gives the q and d variables of the translations.
+    """
+    n = len(first)
+    return [first[i % n] + (f"_{i // n}" if i >= n else "") for i in range(count)]
+
+
 _STEMS = ("p", "q", "r", "u")
 _AGENTS = ("a", "b")
 
@@ -291,8 +301,8 @@ def generate_scene(seed: int, bounds: Bounds = Bounds()) -> Scene:
     """Deterministic random scene: satisfiable law, valid actual state."""
     rng = random.Random(f"scene-{seed}")
     engine = Engine()
-    vocab = [engine.variable(s) for s in _STEMS[: rng.randint(1, bounds.max_vocab)]]
-    agents = list(_AGENTS[: rng.randint(1, bounds.max_agents)])
+    vocab = [engine.variable(s) for s in _names(_STEMS, rng.randint(1, bounds.max_vocab))]
+    agents = _names(_AGENTS, rng.randint(1, bounds.max_agents))
     names = [v.name for v in vocab]
     env = {v.name: v for v in vocab}
     law = engine.false
@@ -374,8 +384,8 @@ def generate_model_action(
     """Deterministic random pointed model plus action with a designated
     event, steered toward a surviving designated pair."""
     rng = random.Random(f"model-{seed}")
-    props = list(_STEMS[: rng.randint(1, bounds.max_vocab)])
-    agents = list(_AGENTS[: rng.randint(1, bounds.max_agents)])
+    props = _names(_STEMS, rng.randint(1, bounds.max_vocab))
+    agents = _names(_AGENTS, rng.randint(1, bounds.max_agents))
     worlds = tuple(f"w{k}" for k in range(rng.randint(1, bounds.max_worlds)))
     valuation = {
         w: frozenset(p for p in props if rng.random() < 0.5) for w in worlds

@@ -284,7 +284,16 @@ def main(argv=None) -> int:
     prove.set_defaults(run=run_prove)
 
     args = parser.parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except RecursionError:
+        # The parser, printer, translator and engine are recursive, so a
+        # deeply nested formula or a very long conjunction exhausts the stack.
+        print(
+            "error: input too deeply nested or too long for the recursion limit",
+            file=sys.stderr,
+        )
+        return 2
 
 
 if __name__ == "__main__":

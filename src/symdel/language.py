@@ -482,7 +482,7 @@ def recover_formula(fn: BoolFn) -> Formula:
         return TOP
     if fn.is_false:
         return BOT
-    sup = sorted(fn.support(), key=engine._level)
+    sup = sorted(fn.support(), key=engine.level)
     if len(sup) == 1:
         v = sup[0]
         return Atom(v.name) if fn == engine.atom(v) else Not(Atom(v.name))

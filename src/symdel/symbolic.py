@@ -17,6 +17,7 @@ pre-event values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .boolfun import BoolFn, Engine, VarId
@@ -104,6 +105,12 @@ class BeliefStructure:
     def states(self) -> list[State]:
         """All states, in binary counting order over the vocabulary."""
         return self.engine.sat_assignments(self.law, self.vocabulary)
+
+    @cached_property
+    def translator(self) -> "Translator":
+        """The boolean translator for this structure, shared by every query
+        against it so the primed law is built once."""
+        return Translator(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,12 +284,12 @@ class Translator:
 
 def bool_translate(structure: BeliefStructure, formula: Formula) -> BoolFn:
     """Local boolean translation of a formula over the structure's vocabulary."""
-    return Translator(structure).fn(formula)
+    return structure.translator.fn(formula)
 
 
 def scene_eval(scene: Scene, formula: Formula) -> bool:
     """Truth at the scene: recursive, translating at belief operators."""
-    translator = Translator(scene.structure)
+    translator = scene.structure.translator
     state = scene.state
     env = translator.env
 

@@ -6,6 +6,8 @@ deliberately broken update (observations conjoined without snapshot
 renaming) to show the morphism check actually has teeth.
 """
 
+import re
+
 import pytest
 
 from symdel.boolfun import Engine
@@ -437,6 +439,27 @@ def test_generate_model_action_prefers_surviving_points():
         if eval_world(pointed.model, pointed.point, action.pre[designated]):
             surviving += 1
     assert surviving >= 90
+
+
+def test_generators_reach_their_bounds():
+    """Larger bounds give larger instances, with distinct names that
+    never take the letter-then-digits form of translation variables."""
+    bounds = Bounds(max_vocab=8, max_agents=3)
+    sizes = {"scene_vars": 0, "scene_agents": 0, "model_vars": 0, "model_agents": 0}
+    for seed in range(300):
+        scene, _ = generate_scene_event(seed, bounds)
+        pointed, _, _ = generate_model_action(seed, bounds)
+        found = {
+            "scene_vars": [v.name for v in scene.structure.vocabulary],
+            "scene_agents": list(scene.structure.agents),
+            "model_vars": list(pointed.model.vocabulary),
+            "model_agents": list(pointed.model.agents),
+        }
+        for key, names in found.items():
+            assert len(set(names)) == len(names)
+            assert not any(re.fullmatch(r"[dqx][0-9]+", n) for n in names)
+            sizes[key] = max(sizes[key], len(names))
+    assert sizes == {"scene_vars": 8, "scene_agents": 3, "model_vars": 8, "model_agents": 3}
 
 
 # -- random structure checks --------------------------------------------------------

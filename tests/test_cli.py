@@ -239,6 +239,25 @@ def test_check_unknown_atom_in_query(tmp_path, capsys):
     assert "line 5" in err
 
 
+DEEP_CHECK = "AGENTS a\nVARS p\nLAW p\nSTATE p\nCHECK " + "~" * 1200 + "p\n"
+WIDE_NAMES = " ".join(f"v{i}" for i in range(1500))
+WIDE_LAW = (
+    f"AGENTS a\nVARS {WIDE_NAMES}\nLAW {WIDE_NAMES.replace(' ', ' & ')}\n"
+    f"STATE {WIDE_NAMES}\n"
+)
+
+
+@pytest.mark.parametrize("text", [DEEP_CHECK, WIDE_LAW], ids=["deep_check", "wide_law"])
+def test_check_input_past_the_recursion_limit(tmp_path, capsys, text):
+    path = tmp_path / "deep.scn"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 # -- translate --------------------------------------------------------------------
 
 def test_translate_event_to_action_golden(capsys):

@@ -1,0 +1,77 @@
+"""Diagram sizes of repeated factual change.
+
+Each event snapshots the variables it changes.  With snapshots placed
+after the event variables declared before them, the state law grows
+linearly in the number of events; these bounds fail if it grows
+exponentially again (a stem-grouped order gives 3·2^k - 1 nodes after
+k coin flips).  The runs apply every event without minimizing.
+"""
+
+import pytest
+
+from symdel.boolfun import Engine
+from symdel.scenario import build_event, build_scene, parse_scenario
+from symdel.symbolic import apply_event
+
+
+def coin_flips(flips: int) -> str:
+    """A coin flipped `flips` times; only b sees each landing."""
+    lines = ["AGENTS a b", "VARS p", "LAW p", "OBS a: p <-> p'", "OBS b: p <-> p'"]
+    lines.append("STATE p")
+    for i in range(1, flips + 1):
+        q = f"q{i}"
+        lines += ["EVENT", f"  ADDVARS {q}", f"  CHANGE p := {q}", f"  OBS+ b: {q} <-> {q}'"]
+        if i % 2:
+            lines.append(f"  ASSIGN {q}")
+    return "\n".join(lines) + "\n"
+
+
+def sally_anne(rounds: int) -> str:
+    """The Sally-Anne story told `rounds` times in a row."""
+    lines = ["AGENTS Sally Anne", "VARS p t", "LAW p & ~t", "OBS Sally: Top", "OBS Anne: Top"]
+    lines.append("STATE p")
+    for r in range(1, rounds + 1):
+        q = f"q{r}"
+        lines += [
+            "EVENT",
+            "  CHANGE t := Top",
+            "EVENT",
+            "  CHANGE p := Bot",
+            "EVENT",
+            f"  ADDVARS {q}",
+            f"  CHANGE t := (~{q} -> t) & ({q} -> Bot)",
+            f"  OBS+ Sally: ~{q}'",
+            f"  OBS+ Anne: {q} <-> {q}'",
+            f"  ASSIGN {q}",
+            "EVENT",
+            "  CHANGE p := Top",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def final_law_nodes(text: str) -> int:
+    scenario = parse_scenario(text)
+    engine = Engine()
+    scene = build_scene(scenario, engine)
+    for spec in scenario.events:
+        scene = apply_event(scene, build_event(spec, scene.structure, engine))
+    return scene.structure.law.node_count()
+
+
+@pytest.mark.parametrize("flips", [8, 16, 60])
+def test_coin_flip_law_grows_linearly(flips):
+    assert final_law_nodes(coin_flips(flips)) <= 12 * flips
+
+
+def test_sally_anne_chained_law_stays_small():
+    assert final_law_nodes(sally_anne(16)) <= 256
+
+
+def test_node_count_counts_distinct_inner_nodes():
+    engine = Engine()
+    p, q = engine.variable("p"), engine.variable("q")
+    a, b = engine.atom(p), engine.atom(q)
+    assert engine.true.node_count() == 0
+    assert a.node_count() == 1
+    assert (a & b).node_count() == 2
+    assert a.iff(b).node_count() == 3
