@@ -60,7 +60,6 @@ from .language import (
     Or,
     Top,
     atoms_of,
-    circle,
     compile_formula,
     format_formula,
     parse,
@@ -84,6 +83,7 @@ from .symbolic import (
     Event,
     Scene,
     Transformer,
+    Update,
     apply_event,
     bool_translate,
     determined_value,
@@ -93,9 +93,35 @@ from .symbolic import (
     scene_eval_enum,
     shrink,
     shrink_scene,
-    transform,
     transform_with_copies,
-    updated_state,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # boolfun
+    "BoolFn", "Engine", "VarId",
+    # bridge
+    "Bounds", "MorphismReport", "act", "check_morphism", "check_part_i",
+    "check_part_ii", "check_roundtrip", "formula_family",
+    "generate_model_action", "generate_scene", "generate_scene_event",
+    "run_suite", "trf", "trf_with_labels",
+    # errors
+    "CompileError", "EvalError", "NotDetermined", "NotExecutable",
+    "ParseError", "PointEliminated", "SymdelError", "VocabularyError",
+    # explicit
+    "ActionModel", "GlobalEvaluator", "KripkeModel", "PointedModel",
+    "eval_pointed", "eval_world", "format_model", "model_of_structure",
+    "product_update", "product_update_pointed", "structure_of_model",
+    # language
+    "BOT", "TOP", "And", "Atom", "Bot", "Box", "Formula", "Iff", "Implies",
+    "Not", "Or", "Top", "atoms_of", "compile_formula", "format_formula",
+    "parse", "prime", "recover_formula", "subset_formula", "substitute",
+    # scenario
+    "Scenario", "build_action", "build_event", "build_scene",
+    "format_action_block", "format_event_block", "load_scenario",
+    "parse_scenario",
+    # symbolic
+    "BeliefStructure", "Event", "Scene", "Transformer", "Update",
+    "apply_event", "bool_translate", "determined_value", "minimize",
+    "minimize_scene", "scene_eval", "scene_eval_enum", "shrink",
+    "shrink_scene", "transform_with_copies",
+]

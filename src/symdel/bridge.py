@@ -52,9 +52,12 @@ from .symbolic import (
     Scene,
     Transformer,
     Translator,
+    Update,
+    apply_event,
+    bool_translate,
     minimize,
+    scene_eval,
     transform_with_copies,
-    updated_state,
 )
 
 
@@ -365,17 +368,11 @@ def generate_scene_event(
     event = _random_event(rng, scene, bounds)
     for _ in range(retries):
         try:
-            apply_event_quiet(scene, event)
+            apply_event(scene, event)
             break
         except NotExecutable:
             event = _random_event(rng, scene, bounds)
     return scene, event
-
-
-def apply_event_quiet(scene: Scene, event: Event) -> Scene:
-    from .symbolic import apply_event
-
-    return apply_event(scene, event)
 
 
 def generate_model_action(
@@ -459,68 +456,24 @@ def formula_family(
 def check_part_i(scene: Scene, event: Event, depth: int = 2) -> str | None:
     """Symbolic update vs. explicit pipeline on one (scene, event).
 
-    Compares executability, the morphism conditions for the updated
-    state map, and truth of the formula family at the updated points.
-    Returns None on agreement, else a description of the first failure.
+    The explicit side is the Kripke model of the structure updated by
+    the action the event expands into.  Returns None on agreement, else
+    a description of the first failure (see _compare_update).
     """
     structure = scene.structure
-    engine = structure.engine
-    transformer = event.transformer
-
     model = model_of_structure(structure)
     action, designated = act(event)
-    state_id = frozenset(v.name for v in scene.state)
-    survives = eval_world(model, state_id, action.pre[designated])
-
-    new_structure, copies = transform_with_copies(structure, transformer)
-    env = structure.env()
-    env.update({v.name: v for v in transformer.add_vocab})
-    change_fns = {
-        v: compile_formula(phi, env, engine)
-        for v, phi in transformer.change_laws.items()
-    }
-
-    def g_of(state, actual):
-        return updated_state(transformer, copies, change_fns, state, actual)
-
-    state_new = g_of(scene.state, event.actual)
-    executable = new_structure.law.holds(state_new)
-    if executable != survives:
-        return (
-            f"executability disagrees: explicit precondition is {survives}, "
-            f"symbolic law check is {executable}"
-        )
-
-    product = product_update(model, action)
+    update = transform_with_copies(structure, event.transformer)
     var_of = structure.env()
-    xvar_of = {v.name: v for v in transformer.add_vocab}
-    g = {
-        (w, a): g_of(
+    xvar_of = {v.name: v for v in event.transformer.add_vocab}
+
+    def g(w, a):
+        return update.post_state(
             frozenset(var_of[p] for p in w), frozenset(xvar_of[n] for n in a)
         )
-        for (w, a) in product.worlds
-    }
-    report = check_morphism(new_structure, product, model.vocabulary, g)
-    if not report.ok:
-        return report.detail
-    if not executable:
-        return None
 
-    evaluator = GlobalEvaluator(product)
-    translator = Translator(new_structure)
-    point = (state_id, designated)
-    family = formula_family(
-        [v.name for v in structure.vocabulary], list(structure.agents), depth
-    )
-    for phi in family:
-        symbolic = translator.fn(phi).holds(state_new)
-        explicit = evaluator.satisfies(point, phi)
-        if symbolic != explicit:
-            return (
-                f"formula {format_formula(phi)}: "
-                f"symbolic {symbolic}, explicit {explicit}"
-            )
-    return None
+    point = (frozenset(v.name for v in scene.state), designated)
+    return _compare_update(update, model, action, point, g, depth)
 
 
 def check_part_ii(
@@ -530,23 +483,31 @@ def check_part_ii(
     model = pointed.model
     engine = Engine()
     structure, g_m = structure_of_model(engine, model)
-    transformer, actual, label = trf_with_labels(engine, action, designated)
+    transformer, _, label = trf_with_labels(engine, action, designated)
+    update = transform_with_copies(structure, transformer)
 
-    survives = eval_world(model, pointed.point, action.pre[designated])
+    def g(w, a):
+        return update.post_state(g_m[w], label[a])
 
-    new_structure, copies = transform_with_copies(structure, transformer)
-    env = structure.env()
-    env.update({v.name: v for v in transformer.add_vocab})
-    change_fns = {
-        v: compile_formula(phi, env, engine)
-        for v, phi in transformer.change_laws.items()
-    }
+    point = (pointed.point, designated)
+    return _compare_update(update, model, action, point, g, depth)
 
-    def g_of(state, x):
-        return updated_state(transformer, copies, change_fns, state, x)
 
-    state_new = g_of(g_m[pointed.point], actual)
-    executable = new_structure.law.holds(state_new)
+def _compare_update(
+    update: Update, model: KripkeModel, action: ActionModel, point, g, depth: int
+) -> str | None:
+    """Compare a symbolic update with the product update of model by action.
+
+    point is the designated (world, event) pair, and g(w, a) the state
+    of update.structure that stands for the product world (w, a).
+    Compares executability at the point, the morphism conditions for g,
+    and truth of the formula family at the point.  Returns None on
+    agreement, else a description of the first failure.
+    """
+    world, designated = point
+    survives = eval_world(model, world, action.pre[designated])
+    state_new = g(world, designated)
+    executable = update.structure.law.holds(state_new)
     if executable != survives:
         return (
             f"executability disagrees: explicit precondition is {survives}, "
@@ -554,16 +515,15 @@ def check_part_ii(
         )
 
     product = product_update(model, action)
-    g = {(w, a): g_of(g_m[w], label[a]) for (w, a) in product.worlds}
-    report = check_morphism(new_structure, product, model.vocabulary, g)
+    states = {(w, a): g(w, a) for (w, a) in product.worlds}
+    report = check_morphism(update.structure, product, model.vocabulary, states)
     if not report.ok:
         return report.detail
     if not executable:
         return None
 
     evaluator = GlobalEvaluator(product)
-    translator = Translator(new_structure)
-    point = (pointed.point, designated)
+    translator = Translator(update.structure)
     family = formula_family(list(model.vocabulary), list(model.agents), depth)
     for phi in family:
         symbolic = translator.fn(phi).holds(state_new)
@@ -612,8 +572,6 @@ def check_roundtrip(
 
 def check_translation(scene: Scene, formulas) -> str | None:
     """Epistemic truth vs. boolean translation, on every state."""
-    from .symbolic import bool_translate, scene_eval
-
     structure = scene.structure
     for phi in formulas:
         fn = bool_translate(structure, phi)

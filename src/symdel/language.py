@@ -222,33 +222,14 @@ def map_atoms(formula: Formula, fn: Callable[[str], Formula]) -> Formula:
             return formula
 
 
-def substitute(
-    formula: Formula, binding: Mapping[str, Formula], parallel: bool = True
-) -> Formula:
-    """Substitution of formulas for atoms.
-
-    Parallel (the default) substitutes all bindings simultaneously;
-    otherwise they are applied one after another in mapping order.
-    """
-    if parallel:
-        return map_atoms(formula, lambda n: binding.get(n, Atom(n)))
-    out = formula
-    for name, repl in binding.items():
-        out = map_atoms(out, lambda n: repl if n == name else Atom(n))
-    return out
+def substitute(formula: Formula, binding: Mapping[str, Formula]) -> Formula:
+    """Simultaneous substitution of formulas for atoms."""
+    return map_atoms(formula, lambda n: binding.get(n, Atom(n)))
 
 
 def prime(formula: Formula) -> Formula:
     """Prime every atom."""
     return map_atoms(formula, lambda n: Atom(n + "'"))
-
-
-def circle(formula: Formula, over) -> Formula:
-    """Add the pre-update marker to every atom named in `over`."""
-    marked = set(over)
-    return map_atoms(
-        formula, lambda n: Atom(n + "°") if n in marked else Atom(n)
-    )
 
 
 def subset_formula(present, universe) -> Formula:
@@ -439,36 +420,68 @@ def compile_formula(
     formula: Formula, env: Mapping[str, VarId], engine: Engine
 ) -> BoolFn:
     """Turn a boolean formula into a function, resolving atoms through env."""
+    return compile_with(formula, env, engine, _no_box)
+
+
+def _no_box(formula: Box) -> BoolFn:
+    raise CompileError(
+        f"belief operator [{formula.agent}] in a boolean-only context"
+    )
+
+
+def compile_with(
+    formula: Formula,
+    env: Mapping[str, VarId],
+    engine: Engine,
+    box: Callable[[Box], BoolFn],
+    memo: dict[Formula, BoolFn] | None = None,
+) -> BoolFn:
+    """Compile a formula, handing each belief operator to box.
+
+    Boolean connectives map to function operations and atoms resolve
+    through env; box gets the whole Box node, body uncompiled.  With a
+    memo, every subformula is looked up there first and stored after.
+    """
 
     def go(phi):
+        if memo is not None:
+            out = memo.get(phi)
+            if out is not None:
+                return out
         match phi:
             case Top():
-                return engine.true
+                out = engine.true
             case Bot():
-                return engine.false
+                out = engine.false
             case Atom(name):
                 var = env.get(name)
                 if var is None:
                     raise CompileError(f"unbound atom: {name}")
-                return engine.atom(var)
+                out = engine.atom(var)
             case Not(body):
-                return ~go(body)
+                out = ~go(body)
             case And(parts):
-                return engine.conj([go(p) for p in parts])
+                out = engine.conj([go(p) for p in parts])
             case Or(parts):
-                return engine.disj([go(p) for p in parts])
+                out = engine.disj([go(p) for p in parts])
             case Implies(a, b):
-                return go(a).implies(go(b))
+                out = go(a).implies(go(b))
             case Iff(a, b):
-                return go(a).iff(go(b))
-            case Box(agent, _):
-                raise CompileError(
-                    f"belief operator [{agent}] in a boolean-only context"
-                )
+                out = go(a).iff(go(b))
+            case Box():
+                out = box(phi)
             case _:
                 raise TypeError(f"not a formula: {phi!r}")
+        if memo is not None:
+            memo[phi] = out
+        return out
 
-    return go(formula)
+    try:
+        return go(formula)
+    finally:
+        # go holds itself through its closure cell; emptying the cell
+        # frees it by reference counting, not by the cyclic collector
+        del go
 
 
 def recover_formula(fn: BoolFn) -> Formula:

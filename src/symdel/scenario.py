@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 from .boolfun import Engine, VarId
 from .errors import ParseError
-from .explicit import ActionModel
+from .explicit import ActionModel, format_point
 from .language import (
     TOP,
     Formula,
@@ -393,12 +393,6 @@ def build_action(
 
 # -- writing -------------------------------------------------------------------
 
-def format_event_id(eid) -> str:
-    if isinstance(eid, frozenset):
-        return "{" + ",".join(sorted(eid)) + "}"
-    return str(eid)
-
-
 def format_event_block(transformer: Transformer, actual) -> str:
     """Render a transformer with its actual event as an EVENT block."""
     lines = ["EVENT"]
@@ -420,7 +414,7 @@ def format_event_block(transformer: Transformer, actual) -> str:
 
 def format_action_block(action: ActionModel, designated) -> str:
     """Render an action model with its designated event as an ACTION block."""
-    ids = {a: format_event_id(a) for a in action.events}
+    ids = {a: format_point(a) for a in action.events}
     lines = ["ACTION"]
     lines.append("  EVENTS " + " ".join(ids[a] for a in action.events))
     for a in action.events:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from .boolfun import BoolFn, Engine, VarId
 from .errors import (
@@ -40,6 +40,7 @@ from .language import (
     Or,
     Top,
     compile_formula,
+    compile_with,
     is_boolean,
 )
 
@@ -233,41 +234,13 @@ class Translator:
         self._memo: dict[Formula, BoolFn] = {}
 
     def fn(self, formula: Formula) -> BoolFn:
-        out = self._memo.get(formula)
-        if out is not None:
-            return out
-        engine = self.engine
-        match formula:
-            case Top():
-                out = engine.true
-            case Bot():
-                out = engine.false
-            case Atom(name):
-                var = self.env.get(name)
-                if var is None:
-                    raise CompileError(f"unbound atom: {name}")
-                out = engine.atom(var)
-            case Not(body):
-                out = ~self.fn(body)
-            case And(parts):
-                out = engine.conj([self.fn(p) for p in parts])
-            case Or(parts):
-                out = engine.disj([self.fn(p) for p in parts])
-            case Implies(a, b):
-                out = self.fn(a).implies(self.fn(b))
-            case Iff(a, b):
-                out = self.fn(a).iff(self.fn(b))
-            case Box(agent, body):
-                out = self._box(agent, self.fn(body))
-            case _:
-                raise TypeError(f"not a formula: {formula!r}")
-        self._memo[formula] = out
-        return out
+        return compile_with(formula, self.env, self.engine, self._box, self._memo)
 
-    def _box(self, agent: str, body_fn: BoolFn) -> BoolFn:
-        obs = self.structure.observations.get(agent)
+    def _box(self, formula: Box) -> BoolFn:
+        body_fn = self.fn(formula.body)
+        obs = self.structure.observations.get(formula.agent)
         if obs is None:
-            raise EvalError(f"unknown agent: {agent}")
+            raise EvalError(f"unknown agent: {formula.agent}")
         inside = {v for v in body_fn.support() if v.name in self.extra_names}
         if inside:
             names = ", ".join(sorted(v.name for v in inside))
@@ -369,10 +342,35 @@ def _event_law_fn(structure: BeliefStructure, transformer: Transformer) -> BoolF
     return Translator(structure, extra).fn(transformer.event_law)
 
 
+class Update(NamedTuple):
+    """A structure updated by a transformer, with the map to its states.
+
+    copies sends each modified variable to its snapshot; change_fns are
+    the compiled change laws, over the old vocabulary and the event
+    variables.
+    """
+
+    structure: BeliefStructure
+    copies: dict[VarId, VarId]
+    change_fns: dict[VarId, BoolFn]
+
+    def post_state(self, state: State, actual: frozenset[VarId]) -> State:
+        """The new state for an old state and the event variables that
+        happened: snapshots keep the old values of the modified
+        variables, the event variables are set as they happened, and
+        each modified variable takes its change law's old-state value."""
+        old = state | actual
+        out = {self.copies.get(v, v) for v in state}
+        out.update(actual)
+        out.update(v for v, fn in self.change_fns.items() if fn.holds(old))
+        return frozenset(out)
+
+
 def transform_with_copies(
     structure: BeliefStructure, transformer: Transformer
-) -> tuple[BeliefStructure, dict[VarId, VarId]]:
-    """Update the structure, returning it with the snapshot map.
+) -> Update:
+    """Update the structure, returning it with its snapshot map and
+    compiled change laws.
 
     The modified variables are renamed to fresh copy generations in the
     law and in the observation functions (on both the plain and primed
@@ -430,56 +428,23 @@ def transform_with_copies(
         + transformer.add_vocab
         + tuple(copies[v] for v in transformer.modified)
     )
-    return (
+    return Update(
         BeliefStructure(engine, vocab_new, law_new, observations_new),
         copies,
+        change_fns,
     )
-
-
-def transform(structure: BeliefStructure, transformer: Transformer) -> BeliefStructure:
-    return transform_with_copies(structure, transformer)[0]
-
-
-def updated_state(
-    transformer: Transformer,
-    copies: Mapping[VarId, VarId],
-    change_fns: Mapping[VarId, BoolFn],
-    state: State,
-    actual: frozenset[VarId],
-) -> State:
-    """The state after the event: snapshots keep the old values of the
-    modified variables, the event variables are set as they happened,
-    and each modified variable takes its change law's old-state value."""
-    mod = set(transformer.modified)
-    old = state | actual
-    out = set(state) - mod
-    out.update(copies[v] for v in state & mod)
-    out.update(actual)
-    out.update(v for v in transformer.modified if change_fns[v].holds(old))
-    return frozenset(out)
 
 
 def apply_event(scene: Scene, event: Event) -> Scene:
     """Update the scene by the event; fails if the event law rules it out."""
-    structure = scene.structure
-    transformer = event.transformer
-    engine = structure.engine
-    new_structure, copies = transform_with_copies(structure, transformer)
-    env = structure.env()
-    env.update({v.name: v for v in transformer.add_vocab})
-    change_fns = {
-        v: compile_formula(phi, env, engine)
-        for v, phi in transformer.change_laws.items()
-    }
-    state_new = updated_state(
-        transformer, copies, change_fns, scene.state, event.actual
-    )
-    if not new_structure.law.holds(state_new):
+    update = transform_with_copies(scene.structure, event.transformer)
+    state_new = update.post_state(scene.state, event.actual)
+    if not update.structure.law.holds(state_new):
         actual = ",".join(sorted(v.name for v in event.actual))
         raise NotExecutable(
             f"event {{{actual}}} is not executable at the actual state"
         )
-    return Scene(new_structure, state_new)
+    return Scene(update.structure, state_new)
 
 
 def determined_value(structure: BeliefStructure, var: VarId) -> bool | None:
@@ -507,7 +472,6 @@ def minimize(
     keep_set = frozenset(keep)
     law = structure.law
     observations = dict(structure.observations)
-    removed = []
     for v in structure.vocabulary:
         if v in keep_set:
             continue
@@ -522,7 +486,6 @@ def minimize(
             agent: engine.restrict(engine.restrict(obs, v, value), vp, value)
             for agent, obs in observations.items()
         }
-        removed.append(v)
     vocab = tuple(v for v in structure.vocabulary if v in keep_set)
     return BeliefStructure(engine, vocab, law, observations)
 

@@ -21,7 +21,7 @@ from symdel.bridge import (
     run_suite,
 )
 from symdel.explicit import model_of_structure, product_update
-from symdel.language import TOP, Atom, compile_formula, parse
+from symdel.language import TOP, Atom, parse
 from symdel.scenario import build_event, build_scene, load_scenario
 from symdel.symbolic import (
     BeliefStructure,
@@ -33,7 +33,6 @@ from symdel.symbolic import (
     scene_eval,
     shrink_scene,
     transform_with_copies,
-    updated_state,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -189,32 +188,22 @@ def test_criterion_7_updated_state_map_is_a_morphism():
     for seed in range(500):
         scene, event = generate_scene_event(seed)
         structure = scene.structure
-        engine = structure.engine
         transformer = event.transformer
 
         model = model_of_structure(structure)
         action, _ = act(event)
-        new_structure, copies = transform_with_copies(structure, transformer)
-        env = structure.env()
-        env.update({v.name: v for v in transformer.add_vocab})
-        change_fns = {
-            v: compile_formula(phi, env, engine)
-            for v, phi in transformer.change_laws.items()
-        }
+        update = transform_with_copies(structure, transformer)
         product = product_update(model, action)
         var_of = structure.env()
         xvar_of = {v.name: v for v in transformer.add_vocab}
         g = {
-            (w, a): updated_state(
-                transformer,
-                copies,
-                change_fns,
+            (w, a): update.post_state(
                 frozenset(var_of[n] for n in w),
                 frozenset(xvar_of[n] for n in a),
             )
             for (w, a) in product.worlds
         }
-        report = check_morphism(new_structure, product, model.vocabulary, g)
+        report = check_morphism(update.structure, product, model.vocabulary, g)
         assert report.ok, f"seed {seed}: {report.detail}"
     elapsed = time.perf_counter() - start
     _report("criterion 7 (morphism on 500 instances)", elapsed, 120.0)

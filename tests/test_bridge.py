@@ -17,7 +17,6 @@ from symdel.bridge import (
     MorphismReport,
     SuiteReport,
     act,
-    apply_event_quiet,
     check_minimization,
     check_morphism,
     check_part_i,
@@ -48,8 +47,8 @@ from symdel.symbolic import (
     Event,
     Scene,
     Transformer,
+    apply_event,
     transform_with_copies,
-    updated_state,
 )
 
 
@@ -319,30 +318,21 @@ def _broken_part_i(scene, event) -> MorphismReport:
     transformer = event.transformer
     model = model_of_structure(structure)
     action, _ = act(event)
-    new_structure, copies = transform_with_copies(structure, transformer)
+    update = transform_with_copies(structure, transformer)
     broken = BeliefStructure(
         engine,
-        new_structure.vocabulary,
-        new_structure.law,
+        update.structure.vocabulary,
+        update.structure.law,
         {
             agent: structure.observations[agent] & transformer.event_obs[agent]
             for agent in structure.agents
         },
     )
-    env = structure.env()
-    env.update({v.name: v for v in transformer.add_vocab})
-    change_fns = {
-        v: compile_formula(phi, env, engine)
-        for v, phi in transformer.change_laws.items()
-    }
     product = product_update(model, action)
     var_of = structure.env()
     xvar_of = {v.name: v for v in transformer.add_vocab}
     g = {
-        (w, a): updated_state(
-            transformer,
-            copies,
-            change_fns,
+        (w, a): update.post_state(
             frozenset(var_of[n] for n in w),
             frozenset(xvar_of[n] for n in a),
         )
@@ -420,7 +410,7 @@ def test_generate_scene_event_is_mostly_executable():
         scene, event = generate_scene_event(seed)
         assert set(event.transformer.event_obs) == set(scene.structure.agents)
         try:
-            apply_event_quiet(scene, event)
+            apply_event(scene, event)
             executable += 1
         except NotExecutable:
             pass

@@ -21,7 +21,6 @@ from symdel.language import (
     Or,
     atoms_of,
     agents_of,
-    circle,
     compile_formula,
     conj,
     disj,
@@ -125,17 +124,13 @@ def test_map_atoms_and_substitute_parallel():
     phi = parse("p -> q")
     swapped = substitute(phi, {"p": Atom("q"), "q": Atom("p")})
     assert swapped == parse("q -> p")
-    chained = substitute(phi, {"p": Atom("q"), "q": Atom("p")}, parallel=False)
-    assert chained == parse("p -> p")
     boxed = parse("[a] p & q")
     assert substitute(boxed, {"p": BOT, "q": TOP}) == And((Box("a", BOT), TOP))
 
 
-def test_prime_and_circle():
+def test_prime():
     phi = parse("[a] p & q°")
     assert prime(phi) == parse("[a] p' & q°'")
-    assert circle(parse("p & q -> p"), {"p"}) == parse("p° & q -> p°")
-    assert circle(parse("p"), set()) == parse("p")
 
 
 def test_subset_formula_order_and_errors():

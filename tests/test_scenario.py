@@ -11,7 +11,6 @@ from symdel.scenario import (
     build_scene,
     format_action_block,
     format_event_block,
-    format_event_id,
     load_scenario,
     parse_scenario,
 )
@@ -227,9 +226,22 @@ def test_build_action_defaults_and_designated():
 # -- rendering ------------------------------------------------------------------
 
 def test_format_event_id():
-    assert format_event_id(frozenset({"b", "a"})) == "{a,b}"
-    assert format_event_id(frozenset()) == "{}"
-    assert format_event_id("e1") == "e1"
+    from symdel.explicit import ActionModel
+
+    events = (frozenset({"b", "a"}), frozenset(), "e1")
+    action = ActionModel(
+        events=events,
+        relations={"a": {(e, e) for e in events}},
+        pre={},
+    )
+    assert format_action_block(action, frozenset({"b", "a"})) == (
+        "ACTION\n"
+        "  EVENTS {a,b} {} e1\n"
+        "  REL a: {a,b}->{a,b} {}->{} e1->e1\n"
+        "  DESIGNATED {a,b}"
+    )
+    assert format_action_block(action, frozenset()).endswith("DESIGNATED {}")
+    assert format_action_block(action, "e1").endswith("DESIGNATED e1")
 
 
 def test_format_event_block_golden():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 from conftest import epistemic_formulas
 from symdel.boolfun import Engine
+from symdel.bridge import generate_scene_event
 from symdel.errors import (
     CompileError,
     EvalError,
@@ -35,9 +36,7 @@ from symdel.symbolic import (
     scene_eval_enum,
     shrink,
     shrink_scene,
-    transform,
     transform_with_copies,
-    updated_state,
 )
 
 
@@ -120,17 +119,31 @@ def test_updated_state_components():
     scene = coin_start(engine)
     event = coin_flip(engine)
     p, q = engine.variable("p"), engine.variable("q")
-    _, copies = transform_with_copies(scene.structure, event.transformer)
-    change_fns = {p: engine.atom(q)}
+    update = transform_with_copies(scene.structure, event.transformer)
+    copies = update.copies
 
-    tails = updated_state(
-        event.transformer, copies, change_fns, frozenset({p}), frozenset()
-    )
+    tails = update.post_state(frozenset({p}), frozenset())
     assert tails == frozenset({copies[p]})
-    heads = updated_state(
-        event.transformer, copies, change_fns, frozenset({p}), frozenset({q})
-    )
+    heads = update.post_state(frozenset({p}), frozenset({q}))
     assert heads == frozenset({copies[p], q, p})
+
+
+def test_update_object_agrees_with_apply_event():
+    # the same instance is drawn twice, so both engines allocate the
+    # same snapshot generations
+    executable = 0
+    for seed in range(100):
+        scene, event = generate_scene_event(seed)
+        update = transform_with_copies(scene.structure, event.transformer)
+        assert update[0] is update.structure
+        scene, event = generate_scene_event(seed)
+        try:
+            after = apply_event(scene, event)
+        except NotExecutable:
+            continue
+        executable += 1
+        assert update.post_state(scene.state, event.actual) == after.state
+    assert executable >= 95
 
 
 # -- a public change ----------------------------------------------------------
@@ -180,7 +193,7 @@ def test_pure_announcement_changes_nothing_factual():
         event_law=parse("[b] p"),
         event_obs={"a": engine.true, "b": engine.true},
     )
-    new_structure, copies = transform_with_copies(structure, announce)
+    new_structure, copies, _ = transform_with_copies(structure, announce)
     assert copies == {}
     assert new_structure.vocabulary == (p,)
     assert new_structure.law == structure.law & bool_translate(
@@ -464,17 +477,21 @@ def test_transform_validation_errors():
     r = engine.variable("r")
     agents = {"a": engine.true, "b": engine.true}
     with pytest.raises(VocabularyError):
-        transform(scene.structure, Transformer((p,), TOP, event_obs=agents))
+        transform_with_copies(
+            scene.structure, Transformer((p,), TOP, event_obs=agents)
+        )
     with pytest.raises(VocabularyError):
-        transform(
+        transform_with_copies(
             scene.structure,
             Transformer((), TOP, (r,), {r: TOP}, agents),
         )
     with pytest.raises(VocabularyError):
-        transform(scene.structure, Transformer((), TOP, event_obs={"a": engine.true}))
+        transform_with_copies(
+            scene.structure, Transformer((), TOP, event_obs={"a": engine.true})
+        )
     other = Engine()
     with pytest.raises(VocabularyError):
-        transform(
+        transform_with_copies(
             scene.structure,
             Transformer((), TOP, event_obs={"a": other.true, "b": other.true}),
         )
