@@ -458,7 +458,13 @@ class Engine:
                 walk(u, i + 1, chosen)
                 walk(u, i + 1, chosen + [v])
 
-        walk(node, 0, [])
+        try:
+            walk(node, 0, [])
+        finally:
+            # walk holds itself through its closure cell; emptying the
+            # cell frees it by reference counting, not by the cyclic
+            # collector (as in language.compile_with)
+            del walk
 
         def key(s):
             # binary counting: the first caller variable is most significant
@@ -491,7 +497,10 @@ class Engine:
                 memo[key] = r
             return r
 
-        return walk(node, 0)
+        try:
+            return walk(node, 0)
+        finally:
+            del walk  # as in sat_assignments
 
     def cubes(self, f: "BoolFn") -> list[list[tuple[VarId, bool]]]:
         """Paths to true, as (variable, polarity) lists in diagram order."""
@@ -510,7 +519,10 @@ class Engine:
             walk(u.hi, path)
             path.pop()
 
-        walk(node, [])
+        try:
+            walk(node, [])
+        finally:
+            del walk  # as in sat_assignments
         return out
 
 

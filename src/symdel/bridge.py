@@ -51,12 +51,10 @@ from .symbolic import (
     Event,
     Scene,
     Transformer,
-    Translator,
     Update,
     apply_event,
     bool_translate,
     minimize,
-    scene_eval,
     transform_with_copies,
 )
 
@@ -523,7 +521,7 @@ def _compare_update(
         return None
 
     evaluator = GlobalEvaluator(product)
-    translator = Translator(update.structure)
+    translator = update.structure.translator
     family = formula_family(list(model.vocabulary), list(model.agents), depth)
     for phi in family:
         symbolic = translator.fn(phi).holds(state_new)
@@ -571,17 +569,19 @@ def check_roundtrip(
 
 
 def check_translation(scene: Scene, formulas) -> str | None:
-    """Epistemic truth vs. boolean translation, on every state."""
+    """Boolean translation vs. the Kripke model of the structure, on
+    every state."""
     structure = scene.structure
+    evaluator = GlobalEvaluator(model_of_structure(structure))
+    states = structure.states()
     for phi in formulas:
         fn = bool_translate(structure, phi)
-        for state in structure.states():
-            direct = scene_eval(Scene(structure, state), phi)
-            if fn.holds(state) != direct:
-                names = ",".join(sorted(v.name for v in state))
+        for state in states:
+            names = frozenset(v.name for v in state)
+            if fn.holds(state) != evaluator.satisfies(names, phi):
                 return (
                     f"translation of {format_formula(phi)} disagrees at "
-                    f"state {{{names}}}"
+                    f"state {{{','.join(sorted(names))}}}"
                 )
     return None
 
@@ -610,8 +610,8 @@ def check_minimization(seed: int, bounds: Bounds = Bounds(), depth: int = 2) -> 
     )
     kept = [v for v in pinned.vocabulary if v != target]
     reduced = minimize(pinned, kept)
-    before = Translator(pinned)
-    after = Translator(reduced)
+    before = pinned.translator
+    after = reduced.translator
     family = formula_family([v.name for v in kept], sorted(structure.agents), depth)
     for phi in family:
         fn_before = before.fn(phi)

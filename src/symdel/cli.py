@@ -44,16 +44,10 @@ from .symbolic import Scene, apply_event, scene_eval, shrink_scene
 
 
 def format_scene(scene: Scene, heading: str) -> str:
-    structure = scene.structure
-    if not structure.law.holds(scene.state):
-        raise SymdelError("actual state violates the law")
-    lines = [heading]
-    lines.append("  vars: " + " ".join(v.name for v in structure.vocabulary))
-    lines.append("  law: " + format_formula(recover_formula(structure.law)))
-    for agent, obs in structure.observations.items():
-        lines.append(f"  obs {agent}: " + format_formula(recover_formula(obs)))
-    inside = ",".join(v.name for v in structure.vocabulary if v in scene.state)
-    lines.append("  state: {" + inside + "}")
+    data = _scene_json(scene)
+    lines = [heading, "  vars: " + " ".join(data["vars"]), "  law: " + data["law"]]
+    lines.extend(f"  obs {agent}: {text}" for agent, text in data["obs"].items())
+    lines.append("  state: {" + ",".join(data["state"]) + "}")
     return "\n".join(lines)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .boolfun import BoolFn, Engine, VarId
 from .errors import CompileError, ParseError
@@ -141,63 +141,37 @@ def disj(parts: Iterable[Formula]) -> Formula:
     return Or(tuple(kept))
 
 
+def subformulas(formula: Formula) -> Iterator[Formula]:
+    """Every subformula occurrence, outermost first, left to right.
+
+    Iterative, so nesting depth is not bounded by the recursion limit.
+    """
+    stack = [formula]
+    while stack:
+        phi = stack.pop()
+        yield phi
+        match phi:
+            case Not(body) | Box(_, body):
+                stack.append(body)
+            case And(parts) | Or(parts):
+                stack.extend(reversed(parts))
+            case Implies(a, b) | Iff(a, b):
+                stack.extend((b, a))
+
+
 def atoms_of(formula: Formula) -> frozenset[str]:
     """All atom names occurring in the formula."""
-    out: set[str] = set()
-
-    def walk(phi):
-        match phi:
-            case Atom(name):
-                out.add(name)
-            case Not(body) | Box(_, body):
-                walk(body)
-            case And(parts) | Or(parts):
-                for p in parts:
-                    walk(p)
-            case Implies(a, b) | Iff(a, b):
-                walk(a)
-                walk(b)
-
-    walk(formula)
-    return frozenset(out)
+    return frozenset(phi.name for phi in subformulas(formula) if isinstance(phi, Atom))
 
 
 def agents_of(formula: Formula) -> frozenset[str]:
     """All agents mentioned by belief operators in the formula."""
-    out: set[str] = set()
-
-    def walk(phi):
-        match phi:
-            case Box(agent, body):
-                out.add(agent)
-                walk(body)
-            case Not(body):
-                walk(body)
-            case And(parts) | Or(parts):
-                for p in parts:
-                    walk(p)
-            case Implies(a, b) | Iff(a, b):
-                walk(a)
-                walk(b)
-
-    walk(formula)
-    return frozenset(out)
+    return frozenset(phi.agent for phi in subformulas(formula) if isinstance(phi, Box))
 
 
 def is_boolean(formula: Formula) -> bool:
     """True when the formula contains no belief operator."""
-
-    match formula:
-        case Box(_, _):
-            return False
-        case Not(body):
-            return is_boolean(body)
-        case And(parts) | Or(parts):
-            return all(is_boolean(p) for p in parts)
-        case Implies(a, b) | Iff(a, b):
-            return is_boolean(a) and is_boolean(b)
-        case _:
-            return True
+    return not any(isinstance(phi, Box) for phi in subformulas(formula))
 
 
 def map_atoms(formula: Formula, fn: Callable[[str], Formula]) -> Formula:
@@ -384,34 +358,35 @@ _IFF, _IMP, _OR, _AND, _UNARY = 1, 2, 3, 4, 5
 
 def format_formula(formula: Formula) -> str:
     """Render with minimal parentheses; parse(format_formula(f)) == f."""
+    return _format(formula, _IFF)
 
-    def go(phi, ctx):
-        match phi:
-            case Top():
-                return "Top"
-            case Bot():
-                return "Bot"
-            case Atom(name):
-                return name
-            case Not(body):
-                return wrap("~" + go(body, _UNARY), _UNARY, ctx)
-            case Box(agent, body):
-                return wrap(f"[{agent}] " + go(body, _UNARY), _UNARY, ctx)
-            case And(parts):
-                return wrap(" & ".join(go(p, _UNARY) for p in parts), _AND, ctx)
-            case Or(parts):
-                return wrap(" | ".join(go(p, _AND) for p in parts), _OR, ctx)
-            case Implies(a, b):
-                return wrap(go(a, _OR) + " -> " + go(b, _IMP), _IMP, ctx)
-            case Iff(a, b):
-                return wrap(go(a, _IFF) + " <-> " + go(b, _IMP), _IFF, ctx)
-            case _:
-                raise TypeError(f"not a formula: {phi!r}")
 
-    def wrap(text, level, ctx):
-        return f"({text})" if level < ctx else text
+def _format(phi: Formula, ctx: int) -> str:
+    match phi:
+        case Top():
+            return "Top"
+        case Bot():
+            return "Bot"
+        case Atom(name):
+            return name
+        case Not(body):
+            return _wrap("~" + _format(body, _UNARY), _UNARY, ctx)
+        case Box(agent, body):
+            return _wrap(f"[{agent}] " + _format(body, _UNARY), _UNARY, ctx)
+        case And(parts):
+            return _wrap(" & ".join(_format(p, _UNARY) for p in parts), _AND, ctx)
+        case Or(parts):
+            return _wrap(" | ".join(_format(p, _AND) for p in parts), _OR, ctx)
+        case Implies(a, b):
+            return _wrap(_format(a, _OR) + " -> " + _format(b, _IMP), _IMP, ctx)
+        case Iff(a, b):
+            return _wrap(_format(a, _IFF) + " <-> " + _format(b, _IMP), _IFF, ctx)
+        case _:
+            raise TypeError(f"not a formula: {phi!r}")
 
-    return go(formula, _IFF)
+
+def _wrap(text: str, level: int, ctx: int) -> str:
+    return f"({text})" if level < ctx else text
 
 
 # -- compilation -----------------------------------------------------------

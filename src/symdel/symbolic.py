@@ -22,7 +22,6 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .boolfun import BoolFn, Engine, VarId
 from .errors import (
-    CompileError,
     EvalError,
     NotDetermined,
     NotExecutable,
@@ -206,27 +205,12 @@ class Translator:
     for agent i translates as: for every primed valuation, the primed
     law and i's observation function together force the primed
     translation of the body.  Translations are cached per subformula.
-
-    extra_env extends the atom binding (used for event laws, which may
-    also mention event variables outside belief operators).
     """
 
-    def __init__(
-        self,
-        structure: BeliefStructure,
-        extra_env: Mapping[str, VarId] | None = None,
-    ):
+    def __init__(self, structure: BeliefStructure):
         self.structure = structure
         self.engine = structure.engine
         self.env = structure.env()
-        self.extra_names = frozenset(extra_env or ())
-        if extra_env:
-            overlap = self.extra_names & set(self.env)
-            if overlap:
-                raise VocabularyError(
-                    f"event variables shadow the vocabulary: {sorted(overlap)}"
-                )
-            self.env.update(extra_env)
         engine = self.engine
         self._prime_map = {v: engine.primed(v) for v in structure.vocabulary}
         self._primed_vars = list(self._prime_map.values())
@@ -241,12 +225,6 @@ class Translator:
         obs = self.structure.observations.get(formula.agent)
         if obs is None:
             raise EvalError(f"unknown agent: {formula.agent}")
-        inside = {v for v in body_fn.support() if v.name in self.extra_names}
-        if inside:
-            names = ", ".join(sorted(v.name for v in inside))
-            raise CompileError(
-                f"event variable under a belief operator: {names}"
-            )
         engine = self.engine
         body_primed = engine.rename(body_fn, self._prime_map)
         return engine.forall(
@@ -261,38 +239,8 @@ def bool_translate(structure: BeliefStructure, formula: Formula) -> BoolFn:
 
 
 def scene_eval(scene: Scene, formula: Formula) -> bool:
-    """Truth at the scene: recursive, translating at belief operators."""
-    translator = scene.structure.translator
-    state = scene.state
-    env = translator.env
-
-    def rec(phi) -> bool:
-        match phi:
-            case Top():
-                return True
-            case Bot():
-                return False
-            case Atom(name):
-                var = env.get(name)
-                if var is None:
-                    raise EvalError(f"unknown atom: {name}")
-                return var in state
-            case Not(body):
-                return not rec(body)
-            case And(parts):
-                return all(rec(p) for p in parts)
-            case Or(parts):
-                return any(rec(p) for p in parts)
-            case Implies(a, b):
-                return not rec(a) or rec(b)
-            case Iff(a, b):
-                return rec(a) == rec(b)
-            case Box(_, _):
-                return translator.fn(phi).holds(state)
-            case _:
-                raise TypeError(f"not a formula: {phi!r}")
-
-    return rec(formula)
+    """Truth at the scene: the boolean translation, evaluated at the state."""
+    return scene.structure.translator.fn(formula).holds(scene.state)
 
 
 def scene_eval_enum(scene: Scene, formula: Formula) -> bool:
@@ -337,11 +285,6 @@ def scene_eval_enum(scene: Scene, formula: Formula) -> bool:
             raise TypeError(f"not a formula: {formula!r}")
 
 
-def _event_law_fn(structure: BeliefStructure, transformer: Transformer) -> BoolFn:
-    extra = {v.name: v for v in transformer.add_vocab}
-    return Translator(structure, extra).fn(transformer.event_law)
-
-
 class Update(NamedTuple):
     """A structure updated by a transformer, with the map to its states.
 
@@ -374,11 +317,11 @@ def transform_with_copies(
 
     The modified variables are renamed to fresh copy generations in the
     law and in the observation functions (on both the plain and primed
-    side); the new law adds the translated event law, also with its
-    talk about modified variables redirected to the snapshots, and one
-    equivalence per modified variable tying its live value to the
-    snapshot of its change law.  Each agent's observation function
-    gains that agent's event observation.
+    side); the new law adds the event law, translated against the old
+    structure and with its talk about modified variables redirected to
+    the snapshots, and one equivalence per modified variable tying its
+    live value to the snapshot of its change law.  Each agent's
+    observation function gains that agent's event observation.
     """
     engine = structure.engine
     vocab = set(structure.vocabulary)
@@ -400,10 +343,14 @@ def transform_with_copies(
                 f"event observation of {agent} built in a different engine"
             )
 
-    law_event = _event_law_fn(structure, transformer)
-
     env = structure.env()
     env.update({v.name: v for v in transformer.add_vocab})
+    # Belief operators go to the structure's translator, whose binding
+    # leaves the event variables out, so one under a belief operator is
+    # an unbound atom; the lambda primes the law only when one occurs.
+    law_event = compile_with(
+        transformer.event_law, env, engine, lambda box: structure.translator.fn(box)
+    )
     change_fns = {
         v: compile_formula(phi, env, engine)
         for v, phi in transformer.change_laws.items()

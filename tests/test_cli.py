@@ -229,14 +229,17 @@ def test_check_index_out_of_range(tmp_path, capsys):
 
 
 def test_check_unknown_atom_in_query(tmp_path, capsys):
+    # the state makes the first disjunct true and the first conjunct
+    # false, so the unknown agent and atom must be caught anyway
     path = tmp_path / "atom.scn"
-    path.write_text(
-        "AGENTS a\nVARS p\nLAW p\nSTATE p\nCHECK z\n",
-        encoding="utf-8",
-    )
-    code, _, err = run(capsys, "check", str(path))
-    assert code == 2
-    assert "line 5" in err
+    for query in ("z", "p | [c] p", "~p & z"):
+        path.write_text(
+            f"AGENTS a\nVARS p\nLAW p\nSTATE p\nCHECK {query}\n",
+            encoding="utf-8",
+        )
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2, query
+        assert "line 5" in err, query
 
 
 DEEP_CHECK = "AGENTS a\nVARS p\nLAW p\nSTATE p\nCHECK " + "~" * 1200 + "p\n"

@@ -30,6 +30,7 @@ from symdel.language import (
     parse,
     prime,
     recover_formula,
+    subformulas,
     subset_formula,
     substitute,
 )
@@ -118,6 +119,24 @@ def test_atoms_agents_boolean():
     assert agents_of(phi) == {"a", "b"}
     assert not is_boolean(phi)
     assert is_boolean(parse("p & ~q | Top"))
+
+
+def test_walkers_past_the_recursion_limit():
+    phi = Box("a", Atom("p"))
+    for _ in range(20_000):
+        phi = Not(phi)
+    assert atoms_of(phi) == {"p"}
+    assert agents_of(phi) == {"a"}
+    assert not is_boolean(phi)
+    assert list(subformulas(parse("p & ~q -> [a] r"))) == [
+        parse("p & ~q -> [a] r"),
+        parse("p & ~q"),
+        Atom("p"),
+        parse("~q"),
+        Atom("q"),
+        parse("[a] r"),
+        Atom("r"),
+    ]
 
 
 def test_map_atoms_and_substitute_parallel():

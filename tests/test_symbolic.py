@@ -6,6 +6,8 @@ by each update.  Equality of BoolFn values is identity in the engine,
 so these assertions pin the semantics, not just the printed shape.
 """
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 
@@ -20,7 +22,15 @@ from symdel.errors import (
     VocabularyError,
 )
 from symdel.explicit import GlobalEvaluator, model_of_structure
-from symdel.language import TOP, Atom, compile_formula, parse
+from symdel.language import (
+    TOP,
+    Atom,
+    agents_of,
+    atoms_of,
+    compile_formula,
+    format_formula,
+    parse,
+)
 from symdel.symbolic import (
     BeliefStructure,
     Event,
@@ -398,16 +408,23 @@ def test_shrink_drops_exactly_the_determined_variables():
 def test_translator_rejects_event_variables_under_belief():
     engine = Engine()
     scene = coin_start(engine)
+    structure = scene.structure
     x = engine.variable("x")
-    translator = Translator(scene.structure, {"x": x})
-    assert translator.fn(parse("x")) == engine.atom(x)
-    assert translator.fn(parse("x & [a] p")) == engine.atom(x) & bool_translate(
-        scene.structure, parse("[a] p")
+
+    def law_after(text):
+        transformer = Transformer(
+            (x,), parse(text), event_obs={"a": engine.true, "b": engine.true}
+        )
+        return transform_with_copies(structure, transformer).structure.law
+
+    assert law_after("x") == structure.law & engine.atom(x)
+    assert law_after("x & [a] p") == structure.law & engine.atom(x) & bool_translate(
+        structure, parse("[a] p")
     )
     with pytest.raises(CompileError):
-        translator.fn(parse("[a] x"))
+        law_after("[a] x")
     with pytest.raises(CompileError):
-        translator.fn(parse("~[b] (p | x)"))
+        law_after("~[b] (p | x)")
 
 
 def test_translator_error_cases():
@@ -417,9 +434,7 @@ def test_translator_error_cases():
         bool_translate(scene.structure, parse("[c] p"))
     with pytest.raises(CompileError):
         bool_translate(scene.structure, parse("r"))
-    with pytest.raises(VocabularyError):
-        Translator(scene.structure, {"p": engine.variable("x")})
-    with pytest.raises(EvalError):
+    with pytest.raises(CompileError):
         scene_eval(scene, parse("r"))
     with pytest.raises(EvalError):
         scene_eval_enum(scene, parse("[c] p"))
@@ -504,3 +519,33 @@ def test_blocked_event_is_not_executable():
     blocked = Transformer((), parse("~p"), event_obs=agents)
     with pytest.raises(NotExecutable):
         apply_event(scene, Event(blocked, frozenset()))
+
+
+# -- garbage ------------------------------------------------------------------
+
+def test_calls_leave_no_reference_cycles():
+    engine = Engine()
+    scene = coin_start(engine)
+    p = var_named(scene.structure, "p")
+    watch = scene.structure.observations["a"]
+    pair = (p, engine.primed(p))
+    phi = parse("[a] p | ~p")
+    calls = {
+        "scene_eval": lambda: scene_eval(scene, phi),
+        "atoms_of": lambda: atoms_of(phi),
+        "agents_of": lambda: agents_of(phi),
+        "format_formula": lambda: format_formula(phi),
+        "sat_assignments": lambda: engine.sat_assignments(watch, pair),
+        "count_sat": lambda: engine.count_sat(watch, pair),
+        "cubes": lambda: engine.cubes(watch),
+    }
+    for name, call in calls.items():
+        call()  # warm the translator's memo
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(1000):
+                call()
+            assert gc.collect() == 0, name
+        finally:
+            gc.enable()
