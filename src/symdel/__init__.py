@@ -38,8 +38,6 @@ from .explicit import (
     GlobalEvaluator,
     KripkeModel,
     PointedModel,
-    eval_pointed,
-    eval_world,
     format_model,
     model_of_structure,
     product_update,
@@ -86,11 +84,11 @@ from .symbolic import (
     Update,
     apply_event,
     bool_translate,
+    compile_event_law,
     determined_value,
     minimize,
     minimize_scene,
     scene_eval,
-    scene_eval_enum,
     shrink,
     shrink_scene,
     transform_with_copies,
@@ -109,8 +107,8 @@ __all__ = [
     "ParseError", "PointEliminated", "SymdelError", "VocabularyError",
     # explicit
     "ActionModel", "GlobalEvaluator", "KripkeModel", "PointedModel",
-    "eval_pointed", "eval_world", "format_model", "model_of_structure",
-    "product_update", "product_update_pointed", "structure_of_model",
+    "format_model", "model_of_structure", "product_update",
+    "product_update_pointed", "structure_of_model",
     # language
     "BOT", "TOP", "And", "Atom", "Bot", "Box", "Formula", "Iff", "Implies",
     "Not", "Or", "Top", "atoms_of", "compile_formula", "format_formula",
@@ -121,7 +119,7 @@ __all__ = [
     "parse_scenario",
     # symbolic
     "BeliefStructure", "Event", "Scene", "Transformer", "Update",
-    "apply_event", "bool_translate", "determined_value", "minimize",
-    "minimize_scene", "scene_eval", "scene_eval_enum", "shrink",
-    "shrink_scene", "transform_with_copies",
+    "apply_event", "bool_translate", "compile_event_law",
+    "determined_value", "minimize", "minimize_scene", "scene_eval",
+    "shrink", "shrink_scene", "transform_with_copies",
 ]

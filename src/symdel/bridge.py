@@ -14,14 +14,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .boolfun import BoolFn, Engine, VarId
-from .errors import NotExecutable, VocabularyError
+from .boolfun import Engine, VarId
+from .errors import VocabularyError
 from .explicit import (
     ActionModel,
     GlobalEvaluator,
     KripkeModel,
     PointedModel,
-    eval_world,
     format_point,
     model_of_structure,
     product_update,
@@ -52,8 +51,8 @@ from .symbolic import (
     Scene,
     Transformer,
     Update,
-    apply_event,
     bool_translate,
+    compile_event_law,
     minimize,
     transform_with_copies,
 )
@@ -365,11 +364,10 @@ def generate_scene_event(
     rng = random.Random(f"event-{seed}")
     event = _random_event(rng, scene, bounds)
     for _ in range(retries):
-        try:
-            apply_event(scene, event)
+        event_law = compile_event_law(scene.structure, event.transformer)
+        if event_law.holds(scene.state | event.actual):
             break
-        except NotExecutable:
-            event = _random_event(rng, scene, bounds)
+        event = _random_event(rng, scene, bounds)
     return scene, event
 
 
@@ -412,8 +410,9 @@ def generate_model_action(
     pairs = [(w, a) for w in worlds for a in events]
     rng.shuffle(pairs)
     point, designated = pairs[0]
+    evaluator = GlobalEvaluator(model)
     for w, a in pairs:
-        if eval_world(model, w, action.pre[a]):
+        if evaluator.satisfies(w, action.pre[a]):
             point, designated = w, a
             break
     return PointedModel(model, point), action, designated
@@ -502,9 +501,9 @@ def _compare_update(
     and truth of the formula family at the point.  Returns None on
     agreement, else a description of the first failure.
     """
-    world, designated = point
-    survives = eval_world(model, world, action.pre[designated])
-    state_new = g(world, designated)
+    product = product_update(model, action)
+    survives = point in product.valuation
+    state_new = g(*point)
     executable = update.structure.law.holds(state_new)
     if executable != survives:
         return (
@@ -512,7 +511,6 @@ def _compare_update(
             f"symbolic law check is {executable}"
         )
 
-    product = product_update(model, action)
     states = {(w, a): g(w, a) for (w, a) in product.worlds}
     report = check_morphism(update.structure, product, model.vocabulary, states)
     if not report.ok:
@@ -544,8 +542,12 @@ def check_roundtrip(
         engine.variable(p)
     transformer, actual, _ = trf_with_labels(engine, action, designated)
     action2, designated2 = act(Event(transformer, actual))
-    before = eval_world(model, pointed.point, action.pre[designated])
-    after = eval_world(model, pointed.point, action2.pre[designated2])
+    product1 = product_update(model, action)
+    product2 = product_update(model, action2)
+    point1 = (pointed.point, designated)
+    point2 = (pointed.point, designated2)
+    before = point1 in product1.valuation
+    after = point2 in product2.valuation
     if before != after:
         return (
             f"designated precondition disagrees after round trip: "
@@ -553,10 +555,8 @@ def check_roundtrip(
         )
     if not before:
         return None
-    eval1 = GlobalEvaluator(product_update(model, action))
-    eval2 = GlobalEvaluator(product_update(model, action2))
-    point1 = (pointed.point, designated)
-    point2 = (pointed.point, designated2)
+    eval1 = GlobalEvaluator(product1)
+    eval2 = GlobalEvaluator(product2)
     family = formula_family(list(model.vocabulary), list(model.agents), depth)
     for phi in family:
         v1 = eval1.satisfies(point1, phi)

@@ -21,9 +21,6 @@ from .boolfun import Engine
 from .bridge import (
     Bounds,
     act,
-    check_part_i,
-    check_part_ii,
-    check_roundtrip,
     generate_model_action,
     generate_scene_event,
     run_suite,

@@ -3,13 +3,15 @@
 World and event identifiers can be any hashable value.  Derived models
 use frozensets of atom names (worlds named by their valuations) and
 (world, event) pairs, and the formatting helpers know how to render
-those deterministically.
+those deterministically.  GlobalEvaluator is the one explicit evaluator
+of the Kripke semantics: product update, the equivalence harness and
+the benchmark all ask it for truth at a world.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping
+from typing import Hashable
 
 from .errors import EvalError, PointEliminated, VocabularyError
 from .language import (
@@ -82,12 +84,6 @@ class KripkeModel:
     def agents(self) -> tuple[str, ...]:
         return tuple(self.relations)
 
-    def successors(self, agent: str, world: WorldId):
-        rel = self.relations.get(agent)
-        if rel is None:
-            raise EvalError(f"unknown agent: {agent}")
-        return [v for (u, v) in rel if u == world]
-
 
 @dataclass
 class PointedModel:
@@ -99,53 +95,16 @@ class PointedModel:
             raise VocabularyError(f"designated world {self.point!r} is not a world")
 
 
-def eval_world(model: KripkeModel, world: WorldId, formula: Formula) -> bool:
-    """Truth at one world, by direct recursion over the formula."""
-    match formula:
-        case Top():
-            return True
-        case Bot():
-            return False
-        case Atom(name):
-            if name not in model.vocabulary:
-                raise EvalError(f"unknown atom: {name}")
-            return name in model.valuation[world]
-        case Not(body):
-            return not eval_world(model, world, body)
-        case And(parts):
-            return all(eval_world(model, world, p) for p in parts)
-        case Or(parts):
-            return any(eval_world(model, world, p) for p in parts)
-        case Implies(a, b):
-            return not eval_world(model, world, a) or eval_world(model, world, b)
-        case Iff(a, b):
-            return eval_world(model, world, a) == eval_world(model, world, b)
-        case Box(agent, body):
-            return all(
-                eval_world(model, v, body) for v in model.successors(agent, world)
-            )
-        case _:
-            raise TypeError(f"not a formula: {formula!r}")
-
-
-def eval_pointed(pointed: PointedModel, formula: Formula) -> bool:
-    return eval_world(pointed.model, pointed.point, formula)
-
-
 class GlobalEvaluator:
-    """Extension sets for many formulas against one model, memoized.
-
-    A second implementation of the Kripke semantics (bottom-up over
-    whole extensions rather than pointwise recursion); the two are
-    cross-checked in the tests and the bulk harnesses use this one.
-    """
+    """Extension sets for many formulas against one model, memoized."""
 
     def __init__(self, model: KripkeModel):
         self.model = model
-        self._succ = {
-            agent: {w: frozenset(v for (u, v) in rel if u == w) for w in model.worlds}
-            for agent, rel in model.relations.items()
-        }
+        self._succ = {}
+        for agent, rel in model.relations.items():
+            succ = self._succ[agent] = {w: set() for w in model.worlds}
+            for u, v in rel:
+                succ[u].add(v)
         self._all = frozenset(model.worlds)
         self._memo: dict[Formula, frozenset] = {}
 
@@ -299,11 +258,13 @@ def product_update_pointed(
     """Pointed product update; fails when the designated pair is eliminated."""
     if event not in action.pre:
         raise VocabularyError(f"unknown event: {event!r}")
-    if not eval_world(pointed.model, pointed.point, action.pre[event]):
+    product = product_update(pointed.model, action)
+    point = (pointed.point, event)
+    if point not in product.valuation:
         raise PointEliminated(
             f"precondition of event {format_point(event)} fails at the actual world"
         )
-    return PointedModel(product_update(pointed.model, action), (pointed.point, event))
+    return PointedModel(product, point)
 
 
 # -- structures <-> models ---------------------------------------------------
@@ -336,7 +297,7 @@ def model_of_structure(structure) -> KripkeModel:
     return KripkeModel(vocabulary, worlds, relations, valuation)
 
 
-def structure_of_model(engine, model_or_pointed):
+def structure_of_model(engine, model: KripkeModel):
     """Encode a Kripke model as a belief structure.
 
     Returns (structure, g) where g maps each world to a state.  When
@@ -345,11 +306,6 @@ def structure_of_model(engine, model_or_pointed):
     of the exact descriptions of the g-states, and each observation
     function the disjunction over the agent's edges.
     """
-    model = (
-        model_or_pointed.model
-        if isinstance(model_or_pointed, PointedModel)
-        else model_or_pointed
-    )
     vocab = [engine.variable(p) for p in model.vocabulary]
     var_of = {p: v for p, v in zip(model.vocabulary, vocab)}
     values = [frozenset(model.valuation[w]) for w in model.worlds]

@@ -40,7 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .boolfun import Engine, VarId
+from .boolfun import Engine
 from .errors import ParseError
 from .explicit import ActionModel, format_point
 from .language import (

@@ -27,21 +27,7 @@ from .errors import (
     NotExecutable,
     VocabularyError,
 )
-from .language import (
-    And,
-    Atom,
-    Bot,
-    Box,
-    Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    Top,
-    compile_formula,
-    compile_with,
-    is_boolean,
-)
+from .language import Box, Formula, compile_formula, compile_with, is_boolean
 
 State = frozenset[VarId]
 
@@ -243,48 +229,6 @@ def scene_eval(scene: Scene, formula: Formula) -> bool:
     return scene.structure.translator.fn(formula).holds(scene.state)
 
 
-def scene_eval_enum(scene: Scene, formula: Formula) -> bool:
-    """Reference evaluation that enumerates states at belief operators.
-
-    Exponential in the vocabulary; kept as an oracle for the tests.
-    """
-    structure, state = scene.structure, scene.state
-    engine = structure.engine
-    env = structure.env()
-    match formula:
-        case Top():
-            return True
-        case Bot():
-            return False
-        case Atom(name):
-            var = env.get(name)
-            if var is None:
-                raise EvalError(f"unknown atom: {name}")
-            return var in state
-        case Not(body):
-            return not scene_eval_enum(scene, body)
-        case And(parts):
-            return all(scene_eval_enum(scene, p) for p in parts)
-        case Or(parts):
-            return any(scene_eval_enum(scene, p) for p in parts)
-        case Implies(a, b):
-            return not scene_eval_enum(scene, a) or scene_eval_enum(scene, b)
-        case Iff(a, b):
-            return scene_eval_enum(scene, a) == scene_eval_enum(scene, b)
-        case Box(agent, body):
-            obs = structure.observations.get(agent)
-            if obs is None:
-                raise EvalError(f"unknown agent: {agent}")
-            for t in structure.states():
-                primed_t = {engine.primed(v) for v in t}
-                if obs.holds(state | primed_t):
-                    if not scene_eval_enum(Scene(structure, t), body):
-                        return False
-            return True
-        case _:
-            raise TypeError(f"not a formula: {formula!r}")
-
-
 class Update(NamedTuple):
     """A structure updated by a transformer, with the map to its states.
 
@@ -307,6 +251,27 @@ class Update(NamedTuple):
         out.update(actual)
         out.update(v for v, fn in self.change_fns.items() if fn.holds(old))
         return frozenset(out)
+
+
+def compile_event_law(structure: BeliefStructure, transformer: Transformer) -> BoolFn:
+    """The transformer's event law as a function over the structure's
+    vocabulary and the event variables.
+
+    Where the structure's law holds at a state, the event with actual
+    event variables x is executable exactly when this function holds at
+    the state together with x.
+    """
+    env = structure.env()
+    env.update({v.name: v for v in transformer.add_vocab})
+    # Belief operators go to the structure's translator, whose binding
+    # leaves the event variables out, so one under a belief operator is
+    # an unbound atom; the lambda primes the law only when one occurs.
+    return compile_with(
+        transformer.event_law,
+        env,
+        structure.engine,
+        lambda box: structure.translator.fn(box),
+    )
 
 
 def transform_with_copies(
@@ -343,14 +308,9 @@ def transform_with_copies(
                 f"event observation of {agent} built in a different engine"
             )
 
+    law_event = compile_event_law(structure, transformer)
     env = structure.env()
     env.update({v.name: v for v in transformer.add_vocab})
-    # Belief operators go to the structure's translator, whose binding
-    # leaves the event variables out, so one under a belief operator is
-    # an unbound atom; the lambda primes the law only when one occurs.
-    law_event = compile_with(
-        transformer.event_law, env, engine, lambda box: structure.translator.fn(box)
-    )
     change_fns = {
         v: compile_formula(phi, env, engine)
         for v, phi in transformer.change_laws.items()

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from symdel.errors import EvalError
 from symdel.language import (
     BOT,
     TOP,
@@ -18,6 +19,7 @@ from symdel.language import (
     Or,
     Top,
 )
+from symdel.symbolic import Scene
 
 
 def bf_truth(formula, true_set):
@@ -45,6 +47,50 @@ def bf_truth(formula, true_set):
             return bf_truth(a, true_set) == bf_truth(b, true_set)
         case _:
             raise TypeError(f"not a boolean formula: {formula!r}")
+
+
+def scene_eval_enum(scene, formula):
+    """Independent truth evaluation at a scene, pointwise over the AST.
+
+    Enumerates the structure's states at each belief operator, so it is
+    exponential in the vocabulary; used as the oracle for the explicit
+    evaluator and the boolean translation.
+    """
+    structure, state = scene.structure, scene.state
+    engine = structure.engine
+    env = structure.env()
+    match formula:
+        case Top():
+            return True
+        case Bot():
+            return False
+        case Atom(name):
+            var = env.get(name)
+            if var is None:
+                raise EvalError(f"unknown atom: {name}")
+            return var in state
+        case Not(body):
+            return not scene_eval_enum(scene, body)
+        case And(parts):
+            return all(scene_eval_enum(scene, p) for p in parts)
+        case Or(parts):
+            return any(scene_eval_enum(scene, p) for p in parts)
+        case Implies(a, b):
+            return not scene_eval_enum(scene, a) or scene_eval_enum(scene, b)
+        case Iff(a, b):
+            return scene_eval_enum(scene, a) == scene_eval_enum(scene, b)
+        case Box(agent, body):
+            obs = structure.observations.get(agent)
+            if obs is None:
+                raise EvalError(f"unknown agent: {agent}")
+            for t in structure.states():
+                primed_t = {engine.primed(v) for v in t}
+                if obs.holds(state | primed_t):
+                    if not scene_eval_enum(Scene(structure, t), body):
+                        return False
+            return True
+        case _:
+            raise TypeError(f"not a formula: {formula!r}")
 
 
 def truth_table(formula, atoms):

@@ -35,6 +35,7 @@ from symdel.bridge import (
 from symdel.errors import NotExecutable, VocabularyError
 from symdel.explicit import (
     ActionModel,
+    GlobalEvaluator,
     KripkeModel,
     PointedModel,
     format_model,
@@ -48,6 +49,7 @@ from symdel.symbolic import (
     Scene,
     Transformer,
     apply_event,
+    compile_event_law,
     transform_with_copies,
 )
 
@@ -409,24 +411,26 @@ def test_generate_scene_event_is_mostly_executable():
     for seed in range(100):
         scene, event = generate_scene_event(seed)
         assert set(event.transformer.event_obs) == set(scene.structure.agents)
+        law = compile_event_law(scene.structure, event.transformer)
+        direct = law.holds(scene.state | event.actual)
         try:
             apply_event(scene, event)
             executable += 1
+            assert direct
         except NotExecutable:
-            pass
+            assert not direct
     assert executable >= 95
 
 
 def test_generate_model_action_prefers_surviving_points():
-    from symdel.explicit import eval_world
-
     surviving = 0
     for seed in range(100):
         pointed, action, designated = generate_model_action(seed)
         assert designated in action.pre
         assert len(pointed.model.worlds) <= 6
         assert len(action.events) <= 3
-        if eval_world(pointed.model, pointed.point, action.pre[designated]):
+        evaluator = GlobalEvaluator(pointed.model)
+        if evaluator.satisfies(pointed.point, action.pre[designated]):
             surviving += 1
     assert surviving >= 90
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import epistemic_formulas
+from conftest import epistemic_formulas, scene_eval_enum
 from symdel.boolfun import Engine
 from symdel.bridge import check_morphism
 from symdel.errors import EvalError, PointEliminated, VocabularyError
@@ -12,8 +12,6 @@ from symdel.explicit import (
     GlobalEvaluator,
     KripkeModel,
     PointedModel,
-    eval_pointed,
-    eval_world,
     format_model,
     format_point,
     model_of_structure,
@@ -22,7 +20,7 @@ from symdel.explicit import (
     structure_of_model,
 )
 from symdel.language import BOT, TOP, compile_formula, parse
-from symdel.symbolic import BeliefStructure
+from symdel.symbolic import BeliefStructure, Scene
 
 
 def coin_model() -> KripkeModel:
@@ -52,9 +50,10 @@ def flip_action() -> ActionModel:
 
 def test_coin_flip_product_update():
     model = coin_model()
-    assert eval_world(model, "w", parse("p"))
-    assert eval_world(model, "w", parse("[a] p"))
-    assert eval_world(model, "w", parse("[b] p"))
+    before = GlobalEvaluator(model)
+    assert before.satisfies("w", parse("p"))
+    assert before.satisfies("w", parse("[a] p"))
+    assert before.satisfies("w", parse("[b] p"))
 
     updated = product_update(model, flip_action())
     assert set(updated.worlds) == {("w", "a1"), ("w", "a2")}
@@ -66,13 +65,13 @@ def test_coin_flip_product_update():
     )
 
     # a no longer knows the face, b does, on both branches
-    tails = PointedModel(updated, ("w", "a1"))
-    assert eval_pointed(tails, parse("~p"))
-    assert eval_pointed(tails, parse("~[a] ~p"))
-    assert eval_pointed(tails, parse("~[a] p"))
-    assert eval_pointed(tails, parse("[b] ~p"))
-    heads = PointedModel(updated, ("w", "a2"))
-    assert eval_pointed(heads, parse("p & ~[a] p & [b] p"))
+    after = GlobalEvaluator(updated)
+    tails, heads = ("w", "a1"), ("w", "a2")
+    assert after.satisfies(tails, parse("~p"))
+    assert after.satisfies(tails, parse("~[a] ~p"))
+    assert after.satisfies(tails, parse("~[a] p"))
+    assert after.satisfies(tails, parse("[b] ~p"))
+    assert after.satisfies(heads, parse("p & ~[a] p & [b] p"))
 
 
 def test_skip_action_preserves_the_model():
@@ -118,7 +117,7 @@ def test_pointed_update_tracks_the_designated_pair():
     pointed = PointedModel(coin_model(), "w")
     after = product_update_pointed(pointed, flip_action(), "a2")
     assert after.point == ("w", "a2")
-    assert eval_pointed(after, parse("p"))
+    assert GlobalEvaluator(after.model).satisfies(after.point, parse("p"))
     with pytest.raises(VocabularyError):
         product_update_pointed(pointed, flip_action(), "a3")
 
@@ -141,7 +140,7 @@ def test_postconditions_read_the_old_world():
     assert updated.valuation[("w", "e")] == frozenset({"q"})
 
 
-# -- two implementations of the semantics ------------------------------------
+# -- the explicit evaluator against the pointwise oracle ---------------------
 
 def chain_model() -> KripkeModel:
     """Three worlds with deliberately non-symmetric relations."""
@@ -158,11 +157,13 @@ def chain_model() -> KripkeModel:
 
 @settings(max_examples=300, deadline=None)
 @given(epistemic_formulas(("p", "q"), ("a", "b")))
-def test_eval_world_matches_global_evaluator(formula):
+def test_global_evaluator_matches_scene_eval_enum(formula):
     model = chain_model()
     evaluator = GlobalEvaluator(model)
+    structure, g = structure_of_model(Engine(), model)
     for w in model.worlds:
-        assert eval_world(model, w, formula) == evaluator.satisfies(w, formula)
+        expected = scene_eval_enum(Scene(structure, g[w]), formula)
+        assert evaluator.satisfies(w, formula) == expected
 
 
 def test_global_evaluator_memo_is_stable():
@@ -170,16 +171,16 @@ def test_global_evaluator_memo_is_stable():
     formula = parse("[a] (p -> [b] ~q)")
     first = evaluator.extension(formula)
     assert evaluator.extension(formula) == first
-    assert first == frozenset(
-        w for w in (0, 1, 2) if eval_world(evaluator.model, w, formula)
-    )
+    # ~q holds at 0 and 2, the only b-successors, so [b] ~q holds everywhere
+    assert first == frozenset({0, 1, 2})
 
 
 def test_worlds_without_successors_believe_everything():
     model = KripkeModel(("p",), ("w",), {"a": set()}, {"w": set()})
-    assert eval_world(model, "w", parse("[a] p"))
-    assert eval_world(model, "w", parse("[a] ~p"))
-    assert not eval_world(model, "w", parse("~[a] p"))
+    evaluator = GlobalEvaluator(model)
+    assert evaluator.satisfies("w", parse("[a] p"))
+    assert evaluator.satisfies("w", parse("[a] ~p"))
+    assert not evaluator.satisfies("w", parse("~[a] p"))
 
 
 # -- validation --------------------------------------------------------------
@@ -226,9 +227,9 @@ def test_update_validation_errors():
             model, ActionModel(("e",), both, {}, {"e": {"p": parse("q")}})
         )
     with pytest.raises(EvalError):
-        eval_world(model, "w", parse("q"))
+        GlobalEvaluator(model).satisfies("w", parse("q"))
     with pytest.raises(EvalError):
-        eval_world(model, "w", parse("[c] p"))
+        GlobalEvaluator(model).satisfies("w", parse("[c] p"))
     with pytest.raises(EvalError):
         GlobalEvaluator(model).extension(parse("[c] p"))
 
@@ -321,13 +322,6 @@ def test_structure_of_model_duplicate_valuations():
     back = model_of_structure(structure)
     assert len(back.worlds) == 3
     assert all("p" in back.valuation[w] for w in back.worlds)
-
-
-def test_structure_of_model_accepts_pointed_input():
-    model = coin_model()
-    engine = Engine()
-    structure, g = structure_of_model(engine, PointedModel(model, "w"))
-    assert g["w"] in structure.states()
 
 
 # -- formatting ---------------------------------------------------------------

@@ -11,7 +11,7 @@ import gc
 import pytest
 from hypothesis import given, settings
 
-from conftest import epistemic_formulas
+from conftest import epistemic_formulas, scene_eval_enum
 from symdel.boolfun import Engine
 from symdel.bridge import generate_scene_event
 from symdel.errors import (
@@ -43,7 +43,6 @@ from symdel.symbolic import (
     minimize,
     minimize_scene,
     scene_eval,
-    scene_eval_enum,
     shrink,
     shrink_scene,
     transform_with_copies,
