@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from symdel import Bounds, run_suite
+from symdel.bridge import SUITE_PARTS, Bounds, SuiteReport, run_suite
 
 
 def main() -> int:
@@ -27,12 +27,12 @@ def main() -> int:
     parser.add_argument(
         "--parts",
         nargs="+",
-        default=["event", "action", "roundtrip"],
-        choices=["event", "action", "roundtrip"],
+        default=list(SUITE_PARTS),
+        choices=list(SUITE_PARTS),
     )
     args = parser.parse_args()
 
-    failures = []
+    total = SuiteReport()
     for size in range(1, args.max_vars + 1):
         bounds = Bounds(max_vocab=size, max_agents=args.agents)
         start = time.perf_counter()
@@ -49,10 +49,10 @@ def main() -> int:
             f"vars<={size}: {checked} checks in {elapsed:.2f}s, "
             f"{len(report.failures)} failures"
         )
-        failures.extend(report.failures)
+        total.failures.extend(report.failures)
 
-    if failures:
-        worst = min(failures, key=lambda c: (c.size, c.seed))
+    worst = total.minimal_failure()
+    if worst is not None:
         print()
         print(f"smallest counterexample (part {worst.part}, seed {worst.seed}):")
         print(f"  {worst.detail}")

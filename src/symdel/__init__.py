@@ -61,7 +61,6 @@ from .language import (
     compile_formula,
     format_formula,
     parse,
-    prime,
     recover_formula,
     subset_formula,
     substitute,
@@ -112,7 +111,7 @@ __all__ = [
     # language
     "BOT", "TOP", "And", "Atom", "Bot", "Box", "Formula", "Iff", "Implies",
     "Not", "Or", "Top", "atoms_of", "compile_formula", "format_formula",
-    "parse", "prime", "recover_formula", "subset_formula", "substitute",
+    "parse", "recover_formula", "subset_formula", "substitute",
     # scenario
     "Scenario", "build_action", "build_event", "build_scene",
     "format_action_block", "format_event_block", "load_scenario",

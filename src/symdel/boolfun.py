@@ -86,8 +86,15 @@ class Engine:
         self._cache: dict[tuple, _Node] = {}
         self._true = _Node(_TERMINAL, None, None, None)
         self._false = _Node(_TERMINAL, None, None, None)
-        self.true = BoolFn(self, self._true)
-        self.false = BoolFn(self, self._false)
+
+    # Built on demand: an engine holding a BoolFn would be in a cycle.
+    @property
+    def true(self) -> BoolFn:
+        return BoolFn(self, self._true)
+
+    @property
+    def false(self) -> BoolFn:
+        return BoolFn(self, self._false)
 
     # -- variables ----------------------------------------------------
 

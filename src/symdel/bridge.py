@@ -3,9 +3,14 @@
 An event over event variables V+ expands into an action model whose
 atomic events are the subsets of V+; an action model compresses into an
 event over fresh label variables encoding event identity in binary.
+Both directions, and the morphism check, use the coding functions of
+explicit.py (binary_code, relation_of, observation_of).
 The harness generates random instances of both kinds and checks that
 the symbolic and the explicit pipeline agree formula by formula, along
 with the world-to-state morphism conditions that drive the agreement.
+SUITE_PARTS is the one table of its parts, each generating, checking
+and sizing the instance of a seed; run_suite, `symdel prove` and the
+sweep script all read it.
 """
 
 from __future__ import annotations
@@ -21,9 +26,12 @@ from .explicit import (
     GlobalEvaluator,
     KripkeModel,
     PointedModel,
+    binary_code,
     format_point,
     model_of_structure,
+    observation_of,
     product_update,
+    relation_of,
     structure_of_model,
 )
 from .language import (
@@ -41,7 +49,6 @@ from .language import (
     conj,
     disj,
     format_formula,
-    prime,
     subset_formula,
     substitute,
 )
@@ -60,45 +67,33 @@ from .symbolic import (
 
 # -- event -> action ---------------------------------------------------------
 
-def _subsets(variables: Sequence[VarId]) -> list[frozenset[VarId]]:
-    # binary counting, the first variable being the least significant bit
-    return [
-        frozenset(v for j, v in enumerate(variables) if (k >> j) & 1)
-        for k in range(2 ** len(variables))
-    ]
-
-
 def act(event: Event) -> tuple[ActionModel, frozenset]:
     """Expand the event into an action model over the subsets of V+.
 
     Event identifiers are the subsets themselves (as sets of variable
-    names); the returned designated event is the one for the actual x.
+    names), in binary counting order; the returned designated event is
+    the one for the actual x.
     """
     transformer = event.transformer
     add = transformer.add_vocab
-    subsets = _subsets(add)
-    ids = [frozenset(v.name for v in sub) for sub in subsets]
+    points = {
+        frozenset(v.name for v in sub): sub
+        for sub in binary_code(range(2 ** len(add)), add).values()
+    }
     pre = {}
     post = {}
-    for sub, eid in zip(subsets, ids):
+    for eid, sub in points.items():
         binding = {v.name: (TOP if v in sub else BOT) for v in add}
         pre[eid] = substitute(transformer.event_law, binding)
         post[eid] = {
             v.name: substitute(transformer.change_laws[v], binding)
             for v in transformer.modified
         }
-    relations = {}
-    if transformer.event_obs:
-        engine = next(iter(transformer.event_obs.values())).engine
-        primed = {v: engine.primed(v) for v in add}
-        for agent, obs in transformer.event_obs.items():
-            relations[agent] = frozenset(
-                (ea, eb)
-                for sa, ea in zip(subsets, ids)
-                for sb, eb in zip(subsets, ids)
-                if obs.holds(sa | {primed[v] for v in sb})
-            )
-    action = ActionModel(tuple(ids), relations, pre, post)
+    relations = {
+        agent: relation_of(obs, points)
+        for agent, obs in transformer.event_obs.items()
+    }
+    action = ActionModel(tuple(points), relations, pre, post)
     return action, frozenset(v.name for v in event.actual)
 
 
@@ -110,19 +105,15 @@ def trf_with_labels(
     """Compress the action model into a transformer over fresh labels.
 
     Events are numbered in declaration order and labeled by the binary
-    encoding of their index over ceil(log2 |A|) fresh variables.  Also
+    code of their index over ceil(log2 |A|) fresh variables.  Also
     returns the full event-to-label map (used by the morphism checks).
     """
     if designated not in action.pre:
         raise VocabularyError(f"unknown event: {designated!r}")
-    count = len(action.events)
-    n = (count - 1).bit_length()
+    n = (len(action.events) - 1).bit_length()
     labels = [engine.fresh_stem("q") for _ in range(n)]
     label_names = [v.name for v in labels]
-    label = {
-        a: frozenset(labels[j] for j in range(n) if (k >> j) & 1)
-        for k, a in enumerate(action.events)
-    }
+    label = binary_code(action.events, labels)
 
     def cube(a) -> Formula:
         return subset_formula({v.name for v in label[a]}, label_names)
@@ -136,17 +127,10 @@ def trf_with_labels(
         )
         for v in modified
     }
-    env = {v.name: v for v in labels}
-    env.update({engine.primed(v).name: engine.primed(v) for v in labels})
-    index = {a: k for k, a in enumerate(action.events)}
-    event_obs = {}
-    for agent, rel in action.relations.items():
-        pairs = sorted(rel, key=lambda ab: (index[ab[0]], index[ab[1]]))
-        event_obs[agent] = compile_formula(
-            disj([conj([cube(a), prime(cube(b))]) for (a, b) in pairs]),
-            env,
-            engine,
-        )
+    event_obs = {
+        agent: observation_of(engine, rel, label, labels)
+        for agent, rel in action.relations.items()
+    }
     transformer = Transformer(
         tuple(labels), event_law, modified, change_laws, event_obs
     )
@@ -179,7 +163,6 @@ def check_morphism(
     C3: the states of the structure are exactly the image of g.
     Returns the first violation found, in that order.
     """
-    engine = structure.engine
     vocab = set(structure.vocabulary)
     for w in model.worlds:
         if w not in g:
@@ -188,15 +171,14 @@ def check_morphism(
             return MorphismReport(
                 False, f"g({format_point(w)}) leaves the vocabulary"
             )
-    primed = {v: engine.primed(v) for v in structure.vocabulary}
     for agent, obs in structure.observations.items():
         rel = model.relations.get(agent)
         if rel is None:
             return MorphismReport(False, f"model lacks agent {agent}")
+        accepted_pairs = relation_of(obs, g)
         for w1 in model.worlds:
-            base = set(g[w1])
             for w2 in model.worlds:
-                accepted = obs.holds(base | {primed[v] for v in g[w2]})
+                accepted = (w1, w2) in accepted_pairs
                 if accepted != ((w1, w2) in rel):
                     return MorphismReport(
                         False,
@@ -230,11 +212,16 @@ class Bounds:
     """Size limits for generated instances."""
 
     max_vocab: int = 4
-    max_event_vocab: int = 2
-    max_modified: int = 2
     max_agents: int = 2
-    max_worlds: int = 6
-    max_events: int = 3
+
+
+# Upper bounds on the sizes of generated events and action models.
+_EVENT_VARS = 2
+_CHANGED = 2
+_WORLDS = 6
+_EVENTS = 3
+# How often generate_scene_event redraws an event that is not executable.
+_REDRAWS = 10
 
 
 def _names(first: tuple[str, ...], count: int) -> list[str]:
@@ -324,7 +311,7 @@ def generate_scene(seed: int, bounds: Bounds = Bounds()) -> Scene:
     return Scene(structure, state)
 
 
-def _random_event(rng, scene: Scene, bounds: Bounds) -> Event:
+def _random_event(rng, scene: Scene) -> Event:
     structure = scene.structure
     engine = structure.engine
     vocab = list(structure.vocabulary)
@@ -332,13 +319,13 @@ def _random_event(rng, scene: Scene, bounds: Bounds) -> Event:
     agents = list(structure.agents)
     add = tuple(
         engine.variable(f"x{j + 1}")
-        for j in range(rng.randint(0, bounds.max_event_vocab))
+        for j in range(rng.randint(0, _EVENT_VARS))
     )
     add_names = [v.name for v in add]
     event_law = _random_formula(
         rng, vocab_names + add_names, agents, 2, box_atoms=vocab_names
     )
-    modified = tuple(rng.sample(vocab, rng.randint(0, min(bounds.max_modified, len(vocab)))))
+    modified = tuple(rng.sample(vocab, rng.randint(0, min(_CHANGED, len(vocab)))))
     change_laws = {
         v: _random_bool(rng, vocab_names + add_names, 2) for v in modified
     }
@@ -355,19 +342,17 @@ def _random_event(rng, scene: Scene, bounds: Bounds) -> Event:
     )
 
 
-def generate_scene_event(
-    seed: int, bounds: Bounds = Bounds(), retries: int = 10
-) -> tuple[Scene, Event]:
+def generate_scene_event(seed: int, bounds: Bounds = Bounds()) -> tuple[Scene, Event]:
     """Deterministic random (scene, event) pair, redrawing the event a few
     times when it is not executable at the scene's state."""
     scene = generate_scene(seed, bounds)
     rng = random.Random(f"event-{seed}")
-    event = _random_event(rng, scene, bounds)
-    for _ in range(retries):
+    event = _random_event(rng, scene)
+    for _ in range(_REDRAWS):
         event_law = compile_event_law(scene.structure, event.transformer)
         if event_law.holds(scene.state | event.actual):
             break
-        event = _random_event(rng, scene, bounds)
+        event = _random_event(rng, scene)
     return scene, event
 
 
@@ -379,7 +364,7 @@ def generate_model_action(
     rng = random.Random(f"model-{seed}")
     props = _names(_STEMS, rng.randint(1, bounds.max_vocab))
     agents = _names(_AGENTS, rng.randint(1, bounds.max_agents))
-    worlds = tuple(f"w{k}" for k in range(rng.randint(1, bounds.max_worlds)))
+    worlds = tuple(f"w{k}" for k in range(rng.randint(1, _WORLDS)))
     valuation = {
         w: frozenset(p for p in props if rng.random() < 0.5) for w in worlds
     }
@@ -390,12 +375,12 @@ def generate_model_action(
         for agent in agents
     }
     model = KripkeModel(tuple(props), worlds, relations, valuation)
-    events = tuple(f"e{k}" for k in range(rng.randint(1, bounds.max_events)))
+    events = tuple(f"e{k}" for k in range(rng.randint(1, _EVENTS)))
     pre = {}
     post = {}
     for a in events:
         pre[a] = _random_formula(rng, props, agents, rng.choice((0, 1, 1)))
-        targets = rng.sample(props, rng.randint(0, min(bounds.max_modified, len(props))))
+        targets = rng.sample(props, rng.randint(0, min(_CHANGED, len(props))))
         post[a] = {
             p: (_random_bool(rng, props, 1) if rng.random() < 0.8 else Atom(p))
             for p in targets
@@ -628,6 +613,33 @@ def check_minimization(seed: int, bounds: Bounds = Bounds(), depth: int = 2) -> 
 
 # -- suite runner ----------------------------------------------------------------
 
+# Each part generates and checks the instance of one seed, and returns
+# the check's result with the instance's size.  The parts call the
+# generators and checks by module name, so that a module function
+# replaced at run time (bench/tracer.py wraps them) is the one that runs.
+
+def _event_part(seed: int, bounds: Bounds, depth: int) -> tuple[str | None, int]:
+    scene, event = generate_scene_event(seed, bounds)
+    size = len(scene.structure.vocabulary) + len(event.transformer.add_vocab)
+    return check_part_i(scene, event, depth), size
+
+
+def _action_part(seed: int, bounds: Bounds, depth: int) -> tuple[str | None, int]:
+    pointed, action, designated = generate_model_action(seed, bounds)
+    size = len(pointed.model.worlds) + len(action.events)
+    return check_part_ii(pointed, action, designated, depth), size
+
+
+def _roundtrip_part(seed: int, bounds: Bounds, depth: int) -> tuple[str | None, int]:
+    pointed, action, designated = generate_model_action(seed, bounds)
+    size = len(pointed.model.worlds) + len(action.events)
+    return check_roundtrip(pointed, action, designated, depth), size
+
+
+# The parts of the equivalence suite, in the order run_suite runs them.
+SUITE_PARTS = {"event": _event_part, "action": _action_part, "roundtrip": _roundtrip_part}
+
+
 @dataclass
 class Counterexample:
     part: str
@@ -638,9 +650,6 @@ class Counterexample:
 
 @dataclass
 class SuiteReport:
-    count: int
-    depth: int
-    seed: int
     checked: dict[str, int] = field(default_factory=dict)
     failures: list[Counterexample] = field(default_factory=list)
 
@@ -659,41 +668,20 @@ def run_suite(
     count: int = 500,
     depth: int = 2,
     bounds: Bounds = Bounds(),
-    parts: Sequence[str] = ("event", "action", "roundtrip"),
+    parts: Sequence[str] = tuple(SUITE_PARTS),
 ) -> SuiteReport:
-    """Run the equivalence checks over `count` seeded instances per part."""
-    report = SuiteReport(count=count, depth=depth, seed=seed)
+    """Run the equivalence checks over `count` seeded instances per part,
+    the parts of each seed in SUITE_PARTS order."""
+    report = SuiteReport()
     for part in parts:
         report.checked[part] = 0
-    for i in range(count):
-        instance_seed = seed + i
-        if "event" in parts:
-            scene, event = generate_scene_event(instance_seed, bounds)
-            detail = check_part_i(scene, event, depth)
-            report.checked["event"] += 1
+    selected = [(name, run) for name, run in SUITE_PARTS.items() if name in parts]
+    for instance_seed in range(seed, seed + count):
+        for name, run in selected:
+            detail, size = run(instance_seed, bounds, depth)
+            report.checked[name] += 1
             if detail is not None:
-                size = len(scene.structure.vocabulary) + len(
-                    event.transformer.add_vocab
-                )
                 report.failures.append(
-                    Counterexample("event", instance_seed, detail, size)
-                )
-        if "action" in parts:
-            pointed, action, designated = generate_model_action(instance_seed, bounds)
-            detail = check_part_ii(pointed, action, designated, depth)
-            report.checked["action"] += 1
-            if detail is not None:
-                size = len(pointed.model.worlds) + len(action.events)
-                report.failures.append(
-                    Counterexample("action", instance_seed, detail, size)
-                )
-        if "roundtrip" in parts:
-            pointed, action, designated = generate_model_action(instance_seed, bounds)
-            detail = check_roundtrip(pointed, action, designated, depth)
-            report.checked["roundtrip"] += 1
-            if detail is not None:
-                size = len(pointed.model.worlds) + len(action.events)
-                report.failures.append(
-                    Counterexample("roundtrip", instance_seed, detail, size)
+                    Counterexample(name, instance_seed, detail, size)
                 )
     return report

@@ -19,7 +19,9 @@ import time
 
 from .boolfun import Engine
 from .bridge import (
+    SUITE_PARTS,
     Bounds,
+    SuiteReport,
     act,
     generate_model_action,
     generate_scene_event,
@@ -205,8 +207,8 @@ def _print_instance(part: str, seed: int, bounds: Bounds) -> None:
 
 def run_prove(args) -> int:
     bounds = Bounds()
-    failures = []
-    for part in ("event", "action", "roundtrip"):
+    total = SuiteReport()
+    for part in SUITE_PARTS:
         start = time.perf_counter()
         report = run_suite(
             seed=args.seed,
@@ -220,11 +222,11 @@ def run_prove(args) -> int:
             f"part {part}: {report.checked[part]} instances, "
             f"{len(report.failures)} failures ({elapsed:.1f}s)"
         )
-        failures.extend(report.failures)
-    if not failures:
+        total.failures.extend(report.failures)
+    worst = total.minimal_failure()
+    if worst is None:
         print("all checks passed")
         return 0
-    worst = min(failures, key=lambda c: (c.size, c.seed))
     print(f"minimal failing instance: part {worst.part}, seed {worst.seed}")
     print(f"  {worst.detail}")
     _print_instance(worst.part, worst.seed, bounds)

@@ -6,13 +6,20 @@ use frozensets of atom names (worlds named by their valuations) and
 those deterministically.  GlobalEvaluator is the one explicit evaluator
 of the Kripke semantics: product update, the equivalence harness and
 the benchmark all ask it for truth at a world.
+
+binary_code, relation_of and observation_of are the one coding between
+explicit points and symbolic states: which variables name a point, and
+which observation function stands for a relation.  The translations of
+structures and models here, and of events and actions in bridge.py, all
+go through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, Mapping
 
+from .boolfun import BoolFn, Engine
 from .errors import EvalError, PointEliminated, VocabularyError
 from .language import (
     TOP,
@@ -269,6 +276,48 @@ def product_update_pointed(
 
 # -- structures <-> models ---------------------------------------------------
 
+def binary_code(items, variables) -> dict:
+    """Code item k as the variables[j] whose bit j is set in k, the first
+    variable being the least significant bit."""
+    return {
+        item: frozenset(v for j, v in enumerate(variables) if (k >> j) & 1)
+        for k, item in enumerate(items)
+    }
+
+
+def relation_of(obs: BoolFn, points: Mapping) -> frozenset:
+    """The pairs (a, b) of coded points that obs accepts: points[a] on
+    the plain side and points[b] on the primed side."""
+    engine = obs.engine
+    primed = {b: frozenset(engine.primed(v) for v in t) for b, t in points.items()}
+    return frozenset(
+        (a, b)
+        for a, s in points.items()
+        for b, t in primed.items()
+        if obs.holds(s | t)
+    )
+
+
+def observation_of(engine: Engine, relation, points: Mapping, universe) -> BoolFn:
+    """The observation function of a relation over coded points: the
+    disjunction, over its pairs (a, b), of the cube of points[a] over
+    the universe and of points[b] over the primed universe."""
+    primed = [engine.primed(v) for v in universe]
+    source = {a: _cube(engine, s, universe) for a, s in points.items()}
+    target = {
+        b: _cube(engine, {engine.primed(v) for v in t}, primed)
+        for b, t in points.items()
+    }
+    return engine.disj([source[a] & target[b] for a, b in relation])
+
+
+def _cube(engine: Engine, state, universe) -> BoolFn:
+    """The function true exactly at the subset state of universe."""
+    return engine.conj(
+        [engine.atom(v) if v in state else ~engine.atom(v) for v in universe]
+    )
+
+
 def model_of_structure(structure) -> KripkeModel:
     """Expand a belief structure into the Kripke model of its states.
 
@@ -276,71 +325,40 @@ def model_of_structure(structure) -> KripkeModel:
     the world/state correspondence is the identity on names.  An agent
     relates two states when its observation function accepts the pair.
     """
-    engine = structure.engine
-    states = structure.states()
-    names = {s: frozenset(v.name for v in s) for s in states}
-    worlds = tuple(names[s] for s in states)
-    primed = {
-        s: frozenset(engine.primed(v) for v in s) for s in states
-    }
+    points = {frozenset(v.name for v in s): s for s in structure.states()}
     relations = {
-        agent: frozenset(
-            (names[s], names[t])
-            for s in states
-            for t in states
-            if obs.holds(s | primed[t])
-        )
+        agent: relation_of(obs, points)
         for agent, obs in structure.observations.items()
     }
-    valuation = {names[s]: names[s] for s in states}
     vocabulary = tuple(v.name for v in structure.vocabulary)
-    return KripkeModel(vocabulary, worlds, relations, valuation)
+    return KripkeModel(vocabulary, tuple(points), relations, {w: w for w in points})
 
 
 def structure_of_model(engine, model: KripkeModel):
     """Encode a Kripke model as a belief structure.
 
     Returns (structure, g) where g maps each world to a state.  When
-    two worlds share a valuation, fresh distinguishing variables are
-    added so that g stays injective; the state law is the disjunction
-    of the exact descriptions of the g-states, and each observation
-    function the disjunction over the agent's edges.
+    two worlds share a valuation, fresh distinguishing variables code
+    the worlds in binary so that g stays injective; the state law is
+    the disjunction of the cubes of the g-states, and each observation
+    function the one of the agent's relation over them.
     """
     vocab = [engine.variable(p) for p in model.vocabulary]
-    var_of = {p: v for p, v in zip(model.vocabulary, vocab)}
-    values = [frozenset(model.valuation[w]) for w in model.worlds]
-    if len(set(values)) == len(values):
-        extra = []
-        labels = {w: frozenset() for w in model.worlds}
-    else:
-        n = (len(model.worlds) - 1).bit_length()
-        extra = [engine.fresh_stem("d") for _ in range(n)]
-        labels = {
-            w: frozenset(extra[j] for j in range(n) if (k >> j) & 1)
-            for k, w in enumerate(model.worlds)
-        }
+    var_of = dict(zip(model.vocabulary, vocab))
+    distinct = len(set(model.valuation.values())) == len(model.worlds)
+    n = 0 if distinct else (len(model.worlds) - 1).bit_length()
+    extra = [engine.fresh_stem("d") for _ in range(n)]
+    labels = binary_code(model.worlds, extra)
     g = {
         w: frozenset(var_of[p] for p in model.valuation[w]) | labels[w]
         for w in model.worlds
     }
     universe = vocab + extra
-    primed = {v: engine.primed(v) for v in universe}
-
-    def cube(state, prime_side):
-        literals = []
-        for v in universe:
-            atom = engine.atom(primed[v] if prime_side else v)
-            literals.append(atom if v in state else ~atom)
-        return engine.conj(literals)
-
-    law = engine.disj([cube(g[w], False) for w in model.worlds])
-    index = {w: k for k, w in enumerate(model.worlds)}
-    observations = {}
-    for agent, rel in model.relations.items():
-        pairs = sorted(rel, key=lambda wv: (index[wv[0]], index[wv[1]]))
-        observations[agent] = engine.disj(
-            [cube(g[w], False) & cube(g[v], True) for (w, v) in pairs]
-        )
+    law = engine.disj([_cube(engine, s, universe) for s in g.values()])
+    observations = {
+        agent: observation_of(engine, rel, g, universe)
+        for agent, rel in model.relations.items()
+    }
     return BeliefStructure(engine, tuple(universe), law, observations), g
 
 

@@ -30,33 +30,28 @@ class Formula:
 
     __slots__ = ()
 
+    def __str__(self):
+        return format_formula(self)
+
 
 @dataclass(frozen=True)
 class Top(Formula):
-    def __str__(self):
-        return format_formula(self)
+    """The constant true."""
 
 
 @dataclass(frozen=True)
 class Bot(Formula):
-    def __str__(self):
-        return format_formula(self)
+    """The constant false."""
 
 
 @dataclass(frozen=True)
 class Atom(Formula):
     name: str
 
-    def __str__(self):
-        return format_formula(self)
-
 
 @dataclass(frozen=True)
 class Not(Formula):
     body: Formula
-
-    def __str__(self):
-        return format_formula(self)
 
 
 @dataclass(frozen=True)
@@ -66,9 +61,6 @@ class And(Formula):
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
 
-    def __str__(self):
-        return format_formula(self)
-
 
 @dataclass(frozen=True)
 class Or(Formula):
@@ -77,17 +69,11 @@ class Or(Formula):
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
 
-    def __str__(self):
-        return format_formula(self)
-
 
 @dataclass(frozen=True)
 class Implies(Formula):
     left: Formula
     right: Formula
-
-    def __str__(self):
-        return format_formula(self)
 
 
 @dataclass(frozen=True)
@@ -95,17 +81,11 @@ class Iff(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self):
-        return format_formula(self)
-
 
 @dataclass(frozen=True)
 class Box(Formula):
     agent: str
     body: Formula
-
-    def __str__(self):
-        return format_formula(self)
 
 
 TOP = Top()
@@ -199,11 +179,6 @@ def map_atoms(formula: Formula, fn: Callable[[str], Formula]) -> Formula:
 def substitute(formula: Formula, binding: Mapping[str, Formula]) -> Formula:
     """Simultaneous substitution of formulas for atoms."""
     return map_atoms(formula, lambda n: binding.get(n, Atom(n)))
-
-
-def prime(formula: Formula) -> Formula:
-    """Prime every atom."""
-    return map_atoms(formula, lambda n: Atom(n + "'"))
 
 
 def subset_formula(present, universe) -> Formula:

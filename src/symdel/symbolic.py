@@ -194,7 +194,8 @@ class Translator:
     """
 
     def __init__(self, structure: BeliefStructure):
-        self.structure = structure
+        # Not the structure itself, which caches its translator.
+        self.observations = structure.observations
         self.engine = structure.engine
         self.env = structure.env()
         engine = self.engine
@@ -208,7 +209,7 @@ class Translator:
 
     def _box(self, formula: Box) -> BoolFn:
         body_fn = self.fn(formula.body)
-        obs = self.structure.observations.get(formula.agent)
+        obs = self.observations.get(formula.agent)
         if obs is None:
             raise EvalError(f"unknown agent: {formula.agent}")
         engine = self.engine

@@ -486,7 +486,7 @@ def test_run_suite_selected_parts():
 
 
 def test_suite_report_minimal_failure_ordering():
-    report = SuiteReport(count=3, depth=2, seed=0)
+    report = SuiteReport()
     report.failures = [
         Counterexample("event", seed=5, detail="big", size=9),
         Counterexample("event", seed=9, detail="small", size=2),

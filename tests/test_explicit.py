@@ -1,5 +1,7 @@
 """Explicit model tests: Kripke semantics, product update, conversions."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,11 +14,14 @@ from symdel.explicit import (
     GlobalEvaluator,
     KripkeModel,
     PointedModel,
+    binary_code,
     format_model,
     format_point,
     model_of_structure,
+    observation_of,
     product_update,
     product_update_pointed,
+    relation_of,
     structure_of_model,
 )
 from symdel.language import BOT, TOP, compile_formula, parse
@@ -322,6 +327,41 @@ def test_structure_of_model_duplicate_valuations():
     back = model_of_structure(structure)
     assert len(back.worlds) == 3
     assert all("p" in back.valuation[w] for w in back.worlds)
+
+
+def _random_function(rng, engine, variables, depth):
+    if depth == 0:
+        atom = engine.atom(rng.choice(variables))
+        return atom if rng.random() < 0.5 else ~atom
+    a = _random_function(rng, engine, variables, depth - 1)
+    b = _random_function(rng, engine, variables, depth - 1)
+    return rng.choice((a & b, a | b, a.iff(b)))
+
+
+def test_relation_and_observation_invert_each_other():
+    engine = Engine()
+    p, q = engine.variable("p"), engine.variable("q")
+    assert binary_code("wxyz", [p, q]) == {
+        "w": frozenset(), "x": {p}, "y": {q}, "z": {p, q}
+    }
+    rng = random.Random("coding")
+    for _ in range(50):
+        engine = Engine()
+        universe = [engine.variable(s) for s in ("p", "q", "r")[: rng.randint(1, 3)]]
+        primed = [engine.primed(v) for v in universe]
+        # a relation over points with distinct codes comes back from its
+        # observation function
+        points = binary_code(range(rng.randint(1, 2 ** len(universe))), universe)
+        relation = frozenset(
+            (a, b) for a in points for b in points if rng.random() < 0.4
+        )
+        obs = observation_of(engine, relation, points, universe)
+        assert relation_of(obs, points) == relation
+        # when every subset of the universe is a point, an observation
+        # function is determined by the pairs it accepts
+        subsets = binary_code(range(2 ** len(universe)), universe)
+        obs = _random_function(rng, engine, universe + primed, 3)
+        assert observation_of(engine, relation_of(obs, subsets), subsets, universe) == obs
 
 
 # -- formatting ---------------------------------------------------------------

@@ -26,9 +26,7 @@ from symdel.language import (
     disj,
     format_formula,
     is_boolean,
-    map_atoms,
     parse,
-    prime,
     recover_formula,
     subformulas,
     subset_formula,
@@ -145,11 +143,6 @@ def test_map_atoms_and_substitute_parallel():
     assert swapped == parse("q -> p")
     boxed = parse("[a] p & q")
     assert substitute(boxed, {"p": BOT, "q": TOP}) == And((Box("a", BOT), TOP))
-
-
-def test_prime():
-    phi = parse("[a] p & q°")
-    assert prime(phi) == parse("[a] p' & q°'")
 
 
 def test_subset_formula_order_and_errors():

@@ -27,7 +27,6 @@ from symdel.language import (
     Atom,
     agents_of,
     atoms_of,
-    compile_formula,
     format_formula,
     parse,
 )
@@ -531,6 +530,7 @@ def test_calls_leave_no_reference_cycles():
     phi = parse("[a] p | ~p")
     calls = {
         "scene_eval": lambda: scene_eval(scene, phi),
+        "scene_eval in a fresh engine": lambda: scene_eval(coin_start(Engine()), phi),
         "atoms_of": lambda: atoms_of(phi),
         "agents_of": lambda: agents_of(phi),
         "format_formula": lambda: format_formula(phi),
