@@ -510,27 +510,66 @@ class Engine:
             del walk  # as in sat_assignments
 
     def cubes(self, f: "BoolFn") -> list[list[tuple[VarId, bool]]]:
-        """Paths to true, as (variable, polarity) lists in diagram order."""
-        node = self._node_of(f)
-        out = []
+        """Paths to true, as (variable, polarity) lists in diagram order.
 
-        def walk(u, path):
-            if u is self._false:
-                return
+        The low branch comes before the high branch at every node.
+        """
+        out = []
+        stack = [(self._node_of(f), ())]
+        while stack:
+            u, path = stack.pop()
             if u is self._true:
                 out.append(list(path))
-                return
-            path.append((u.var, False))
-            walk(u.lo, path)
-            path[-1] = (u.var, True)
-            walk(u.hi, path)
-            path.pop()
-
-        try:
-            walk(node, [])
-        finally:
-            del walk  # as in sat_assignments
+            elif u is not self._false:
+                stack.append((u.hi, path + ((u.var, True),)))
+                stack.append((u.lo, path + ((u.var, False),)))
         return out
+
+    def factors(self, f: "BoolFn") -> list[BoolFn]:
+        """The finest split of f into conjuncts with pairwise disjoint supports.
+
+        The factors conjoin to f, and none of them splits further; they
+        come in the order of their top variables.  True has no factors,
+        and false is its own single factor.
+
+        One bottom-up pass over the diagram: below a node testing x, a
+        factor shared by both cofactors is a factor of the node, and the
+        cofactors' other factors rejoin under x as one more.  Nodes are
+        canonical, so shared factors are found by identity.
+        """
+        root = self._node_of(f)
+        if root is self._false:
+            return [f]
+        # factors of each visited node, as a tuple ordered by level
+        memo = {id(self._true): ()}
+        stack = [root]
+        while stack:
+            u = stack[-1]
+            if id(u) in memo:
+                stack.pop()
+                continue
+            todo = [c for c in (u.lo, u.hi) if c is not self._false and id(c) not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            if u.lo is self._false:
+                out = (self._mk(u.level, self._false, self._true),) + memo[id(u.hi)]
+            elif u.hi is self._false:
+                out = (self._mk(u.level, self._true, self._false),) + memo[id(u.lo)]
+            else:
+                lo, hi = memo[id(u.lo)], memo[id(u.hi)]
+                shared = {id(g) for g in lo} & {id(g) for g in hi}
+                rest = []
+                for side in (lo, hi):
+                    acc = self._true
+                    for g in side:
+                        if id(g) not in shared:
+                            acc = self._apply("and", acc, g)
+                    rest.append(acc)
+                out = (self._mk(u.level, *rest),) + tuple(g for g in lo if id(g) in shared)
+            memo[id(u)] = out
+        return [BoolFn(self, g) for g in memo[id(root)]]
 
 
 class BoolFn:

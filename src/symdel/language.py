@@ -437,14 +437,17 @@ def compile_with(
 def recover_formula(fn: BoolFn) -> Formula:
     """A readable formula denoting fn, for display purposes.
 
-    Small functions come back as literals or equivalences, everything
-    else as a disjunction of the diagram's paths to true.
+    fn is printed as the conjunction of its factors (`Engine.factors`),
+    which have pairwise disjoint supports, so the text grows with the
+    diagram rather than with its paths.  A factor over one variable is
+    a literal, a two-variable equivalence prints as one, and any other
+    factor as the disjunction of its diagram's paths to true.
     """
+    return conj(_recover_factor(g) for g in fn.engine.factors(fn))
+
+
+def _recover_factor(fn: BoolFn) -> Formula:
     engine = fn.engine
-    if fn.is_true:
-        return TOP
-    if fn.is_false:
-        return BOT
     sup = sorted(fn.support(), key=engine.level)
     if len(sup) == 1:
         v = sup[0]

@@ -285,3 +285,102 @@ def test_cubes_cover_exactly_the_function():
             ]
         )
         assert rebuilt == fn
+
+
+def _cubes_by_recursion(engine, fn):
+    """Paths to true by a recursive walk, low branch first: the reference."""
+    out = []
+
+    def walk(u, path):
+        if u is engine._false:
+            return
+        if u is engine._true:
+            out.append(list(path))
+            return
+        walk(u.lo, path + [(u.var, False)])
+        walk(u.hi, path + [(u.var, True)])
+
+    walk(fn.node, [])
+    return out
+
+
+def test_cubes_match_a_recursive_walk_path_for_path():
+    rng = random.Random("cubes-order")
+    engine = Engine()
+    names = ["p", "q", "r", "s"]
+    env = _env(engine, names)
+    for _ in range(100):
+        fn = compile_formula(random_boolean_formula(rng, names, 4), env, engine)
+        assert engine.cubes(fn) == _cubes_by_recursion(engine, fn)
+
+
+def _splits(engine, fn):
+    """Whether fn = g(X) & h(Y) for a split of its support into X, Y != {}."""
+    sup = sorted(fn.support(), key=engine.level)
+    for mask in range(1, 2 ** len(sup) - 1):
+        xs = [v for i, v in enumerate(sup) if mask >> i & 1]
+        ys = [v for v in sup if v not in xs]
+        if engine.exists(fn, ys) & engine.exists(fn, xs) == fn:
+            return True
+    return False
+
+
+def _random_product(rng, engine, names):
+    """A conjunction of random blocks of 1-3 variables, each neither true
+    nor false, whose variables interleave in the diagram order."""
+    order = rng.sample(names, len(names))
+    env = {name: engine.variable(name) for name in order}
+    pool = rng.sample(names, rng.randint(1, len(names)))
+    out = engine.true
+    while pool:
+        block = [env[name] for name in pool[: rng.randint(1, 3)]]
+        pool = pool[len(block):]
+        rows = 2 ** len(block)
+        minterms = [
+            engine.conj(
+                engine.atom(v) if row >> i & 1 else ~engine.atom(v)
+                for i, v in enumerate(block)
+            )
+            for row in rng.sample(range(rows), rng.randint(1, rows - 1))
+        ]
+        out = out & engine.disj(minterms)
+    return out
+
+
+def test_factors_are_the_finest_disjoint_split():
+    rng = random.Random("factors")
+    names = [f"v{i}" for i in range(7)]
+    for _ in range(400):
+        engine = Engine()
+        fn = _random_product(rng, engine, rng.sample(names, rng.randint(1, 7)))
+        parts = engine.factors(fn)
+        assert engine.conj(parts) == fn
+        supports = [g.support() for g in parts]
+        assert sum(len(s) for s in supports) == len(frozenset().union(*supports))
+        tops = [min(engine.level(v) for v in s) for s in supports]
+        assert tops == sorted(tops)
+        for g in parts:
+            assert not (g.is_true or g.is_false)
+            assert not _splits(engine, g)
+
+
+def test_factors_fixed_cases():
+    engine = Engine()
+    # the allocation order of three private coin flips
+    p = engine.variable("p")
+    order = [p]
+    for i in (1, 2, 3):
+        order += [engine.variable(f"q{i}"), engine.fresh_copy(p)]
+    env = {v.name: v for v in order}
+
+    def fn(text):
+        return compile_formula(parse(text), env, engine)
+
+    assert engine.factors(engine.true) == []
+    assert engine.factors(engine.false) == [engine.false]
+    assert engine.factors(fn("p <-> q1")) == [fn("p <-> q1")]
+    parity = fn("(p <-> q1) <-> q2")
+    assert engine.factors(parity) == [parity]
+    chain = fn("(p°2 <-> q1) & (p°3 <-> q2) & (p <-> q3)")
+    assert engine.factors(chain) == [fn("p <-> q3"), fn("q1 <-> p°2"), fn("q2 <-> p°3")]
+    assert engine.factors(fn("~p & (q1 | q2) & q3")) == [fn("~p"), fn("q1 | q2"), fn("q3")]

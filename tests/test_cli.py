@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from symdel import cli
 from symdel.cli import main
+from symdel.language import compile_formula, parse
+from test_node_counts import coin_flips, sally_anne
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -36,14 +39,14 @@ after event 2
 
 after event 3
   vars: p t q
-  law: ~p & ~t & q | ~p & t & ~q
+  law: ~p & (t <-> ~q)
   obs Sally: ~q'
   obs Anne: q <-> q'
   state: {q}
 
 after event 4
   vars: p t q
-  law: p & ~t & q | p & t & ~q
+  law: p & (t <-> ~q)
   obs Sally: ~q'
   obs Anne: q <-> q'
   state: {p,q}
@@ -259,6 +262,75 @@ def test_check_input_past_the_recursion_limit(tmp_path, capsys, text):
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# -- printed laws and observations --------------------------------------------------
+
+def _assert_prints(fn, text, vocabulary):
+    """text, compiled over the vocabulary and its primed copies, is fn."""
+    engine = fn.engine
+    env = {}
+    for v in vocabulary:
+        env[v.name] = v
+        env[engine.primed(v).name] = engine.primed(v)
+    assert compile_formula(parse(text), env, engine) == fn, text
+
+
+ROUND_TRIP_INPUTS = {
+    **{path.stem: path.read_text(encoding="utf-8") for path in sorted(SCENARIOS.glob("*.scn"))},
+    "flips_8": coin_flips(8),
+    "sally_anne_4": sally_anne(4),
+}
+
+
+@pytest.mark.parametrize("minimize", [False, True], ids=["full", "minimize"])
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_INPUTS))
+def test_printed_laws_and_observations_compile_back(tmp_path, capsys, monkeypatch, name, minimize):
+    scenes = []
+    real = cli._scene_json
+
+    def spy(scene):
+        scenes.append(scene)
+        return real(scene)
+
+    monkeypatch.setattr(cli, "_scene_json", spy)
+    path = tmp_path / f"{name}.scn"
+    path.write_text(ROUND_TRIP_INPUTS[name], encoding="utf-8")
+    code, out, _ = run(capsys, "check", str(path), "--json", *(["--minimize"] if minimize else []))
+    assert code == 0
+    trace = json.loads(out)["trace"]
+    assert len(trace) == len(scenes) > 0
+    for scene, printed in zip(scenes, trace):
+        structure = scene.structure
+        _assert_prints(structure.law, printed["law"], structure.vocabulary)
+        assert list(printed["obs"]) == list(structure.observations)
+        for agent, obs in structure.observations.items():
+            _assert_prints(obs, printed["obs"][agent], structure.vocabulary)
+
+
+def test_printed_event_observations_compile_back(capsys, monkeypatch):
+    events = []
+    real = cli.format_event_block
+
+    def spy(transformer, actual):
+        events.append(transformer)
+        return real(transformer, actual)
+
+    monkeypatch.setattr(cli, "format_event_block", spy)
+    code, out, _ = run(
+        capsys, "translate", str(SCENARIOS / "flip_action.scn"), "--to", "transformer"
+    )
+    assert code == 0
+    (transformer,) = events
+    engine = next(iter(transformer.event_obs.values())).engine
+    lines = [line.strip() for line in out.splitlines()]
+    (declared,) = [line.split()[1:] for line in lines if line.startswith("VARS ")]
+    vocabulary = [engine.variable(name) for name in declared] + list(transformer.add_vocab)
+    printed = [line.removeprefix("OBS+ ") for line in lines if line.startswith("OBS+ ")]
+    assert printed
+    for line in printed:
+        agent, text = line.split(": ", 1)
+        _assert_prints(transformer.event_obs[agent], text, vocabulary)
 
 
 # -- translate --------------------------------------------------------------------

@@ -4,12 +4,14 @@ Each event snapshots the variables it changes.  With snapshots placed
 after the event variables declared before them, the state law grows
 linearly in the number of events; these bounds fail if it grows
 exponentially again (a stem-grouped order gives 3·2^k - 1 nodes after
-k coin flips).  The runs apply every event without minimizing.
+k coin flips).  The printed laws and observations must grow linearly
+too.  The runs apply every event without minimizing.
 """
 
 import pytest
 
 from symdel.boolfun import Engine
+from symdel.language import format_formula, recover_formula
 from symdel.scenario import build_event, build_scene, parse_scenario
 from symdel.symbolic import apply_event
 
@@ -49,13 +51,21 @@ def sally_anne(rounds: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def final_law_nodes(text: str) -> int:
+def final_structure(text: str):
     scenario = parse_scenario(text)
     engine = Engine()
     scene = build_scene(scenario, engine)
     for spec in scenario.events:
         scene = apply_event(scene, build_event(spec, scene.structure, engine))
-    return scene.structure.law.node_count()
+    return scene.structure
+
+
+def final_law_nodes(text: str) -> int:
+    return final_structure(text).law.node_count()
+
+
+def printed_length(fn) -> int:
+    return len(format_formula(recover_formula(fn)))
 
 
 @pytest.mark.parametrize("flips", [8, 16, 60])
@@ -65,6 +75,19 @@ def test_coin_flip_law_grows_linearly(flips):
 
 def test_sally_anne_chained_law_stays_small():
     assert final_law_nodes(sally_anne(16)) <= 256
+
+
+@pytest.mark.parametrize("flips", [8, 16, 60])
+def test_coin_flip_law_prints_linearly(flips):
+    # the law and b's observation are conjunctions of small equivalences;
+    # printed as the diagram's paths they grow as 2^flips
+    structure = final_structure(coin_flips(flips))
+    assert printed_length(structure.law) <= 20 * flips
+    assert printed_length(structure.observations["b"]) <= 20 * flips
+
+
+def test_sally_anne_chained_law_prints_short():
+    assert printed_length(final_structure(sally_anne(16)).law) <= 768
 
 
 def test_node_count_counts_distinct_inner_nodes():
