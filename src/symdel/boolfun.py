@@ -3,6 +3,9 @@
 Functions are stored as reduced ordered binary decision diagrams with a
 shared node table per engine, so two functions built in the same engine
 denote the same boolean function exactly when they are the same object.
+One memoised if-then-else recursion (`Engine._ite`) is the only
+connective kernel: every connective, each quantifier step and every
+substitution is one call of it.
 
 Each variable is a stem plus two decorations: a copy generation (0 for
 the live variable, n > 0 for the n-th frozen snapshot of it, printed
@@ -187,69 +190,37 @@ class Engine:
 
     # -- core operations ------------------------------------------------
 
-    def _neg(self, u):
-        if u is self._true:
-            return self._false
-        if u is self._false:
-            return self._true
-        key = ("not", id(u))
-        r = self._cache.get(key)
-        if r is None:
-            r = self._mk(u.level, self._neg(u.lo), self._neg(u.hi))
-            self._cache[key] = r
-        return r
-
-    def _apply(self, op, u, v):
-        t, f = self._true, self._false
-        if op == "and":
-            if u is f or v is f:
+    def _ite(self, f, g, h):
+        """If f then g else h, memoised (Brace, Rudell and Bryant, 1990)."""
+        t, e = self._true, self._false
+        if f is t:
+            return g
+        if f is e or g is h:
+            return h
+        if f is g:
+            g = t
+        elif f is h:
+            h = e
+        if h is e:
+            if g is t:
                 return f
-            if u is t:
-                return v
-            if v is t:
-                return u
-            if u is v:
-                return u
-        elif op == "or":
-            if u is t or v is t:
-                return t
-            if u is f:
-                return v
-            if v is f:
-                return u
-            if u is v:
-                return u
-        else:  # xor
-            if u is f:
-                return v
-            if v is f:
-                return u
-            if u is t:
-                return self._neg(v)
-            if v is t:
-                return self._neg(u)
-            if u is v:
-                return f
-        if id(u) > id(v):
-            u, v = v, u  # the three ops are commutative
-        key = (op, id(u), id(v))
+            if id(f) > id(g):
+                f, g = g, f  # f and g commute
+        elif g is t and id(f) > id(h):
+            f, h = h, f  # f or h commutes
+        # three ids: never equal to a restrict or quantifier key, which
+        # starts with a string
+        key = (id(f), id(g), id(h))
         r = self._cache.get(key)
         if r is not None:
             return r
-        lu, lv = u.level, v.level
-        if lu == lv:
-            r = self._mk(lu, self._apply(op, u.lo, v.lo), self._apply(op, u.hi, v.hi))
-        elif lu < lv:
-            r = self._mk(lu, self._apply(op, u.lo, v), self._apply(op, u.hi, v))
-        else:
-            r = self._mk(lv, self._apply(op, u, v.lo), self._apply(op, u, v.hi))
+        lvl = min(f.level, g.level, h.level)
+        f0, f1 = (f.lo, f.hi) if f.level == lvl else (f, f)
+        g0, g1 = (g.lo, g.hi) if g.level == lvl else (g, g)
+        h0, h1 = (h.lo, h.hi) if h.level == lvl else (h, h)
+        r = self._mk(lvl, self._ite(f0, g0, h0), self._ite(f1, g1, h1))
         self._cache[key] = r
         return r
-
-    def _ite(self, c, u, v):
-        return self._apply(
-            "or", self._apply("and", c, u), self._apply("and", self._neg(c), v)
-        )
 
     def _restrict(self, u, lvl, value):
         if u.level > lvl:
@@ -271,7 +242,9 @@ class Engine:
         if u.level > lvl:
             return u
         if u.level == lvl:
-            return self._apply("and" if conj else "or", u.lo, u.hi)
+            if conj:
+                return self._ite(u.lo, u.hi, self._false)
+            return self._ite(u.lo, self._true, u.hi)
         key = ("all" if conj else "any", id(u), lvl)
         r = self._cache.get(key)
         if r is None:
@@ -302,28 +275,25 @@ class Engine:
     def combine(self, op: str, args: Sequence["BoolFn"]) -> BoolFn:
         """Pointwise connective: not, and, or, xor, implies, iff."""
         nodes = [self._node_of(a) for a in args]
+        t, e = self._true, self._false
+        if op in ("and", "or"):
+            acc = t if op == "and" else e
+            for n in nodes:
+                acc = self._ite(acc, n, e) if op == "and" else self._ite(acc, t, n)
+            return BoolFn(self, acc)
         if op == "not":
             if len(nodes) != 1:
                 raise BoolFnError("not takes exactly one argument")
-            return BoolFn(self, self._neg(nodes[0]))
-        if op in ("and", "or"):
-            acc = self._true if op == "and" else self._false
-            for n in nodes:
-                acc = self._apply(op, acc, n)
-            return BoolFn(self, acc)
-        if op == "xor":
-            if len(nodes) != 2:
-                raise BoolFnError("xor takes exactly two arguments")
-            return BoolFn(self, self._apply("xor", nodes[0], nodes[1]))
+            return BoolFn(self, self._ite(nodes[0], e, t))
+        if op not in ("xor", "implies", "iff"):
+            raise BoolFnError(f"unknown connective: {op}")
+        if len(nodes) != 2:
+            raise BoolFnError(f"{op} takes exactly two arguments")
+        a, b = nodes
         if op == "implies":
-            if len(nodes) != 2:
-                raise BoolFnError("implies takes exactly two arguments")
-            return BoolFn(self, self._apply("or", self._neg(nodes[0]), nodes[1]))
-        if op == "iff":
-            if len(nodes) != 2:
-                raise BoolFnError("iff takes exactly two arguments")
-            return BoolFn(self, self._neg(self._apply("xor", nodes[0], nodes[1])))
-        raise BoolFnError(f"unknown connective: {op}")
+            return BoolFn(self, self._ite(a, b, t))
+        nb = self._ite(b, e, t)
+        return BoolFn(self, self._ite(a, b, nb) if op == "iff" else self._ite(a, nb, b))
 
     def conj(self, args: Iterable["BoolFn"]) -> BoolFn:
         return self.combine("and", list(args))
@@ -423,9 +393,7 @@ class Engine:
         return self._node_of(f) is self._false
 
     def entails(self, f: "BoolFn", g: "BoolFn") -> bool:
-        return self._apply(
-            "or", self._neg(self._node_of(f)), self._node_of(g)
-        ) is self._true
+        return self._ite(self._node_of(f), self._node_of(g), self._true) is self._true
 
     def equivalent(self, f: "BoolFn", g: "BoolFn") -> bool:
         return self._node_of(f) is self._node_of(g)
@@ -438,40 +406,22 @@ class Engine:
         The first universe variable is the most significant bit and False
         sorts before True.  The support of f must lie inside the universe.
         """
-        node = self._node_of(f)
         uni = list(universe)
         levels = [self._check_var(v) for v in uni]
         if len(set(levels)) != len(levels):
             raise BoolFnError("universe contains a repeated variable")
-        order = sorted(zip(levels, uni))
-        missing = self._support(node) - set(levels)
+        missing = self._support(self._node_of(f)) - set(levels)
         if missing:
             names = ", ".join(sorted(self._vars[lvl].name for lvl in missing))
             raise BoolFnError(f"support outside the universe: {names}")
         out = []
-
-        def walk(u, i, chosen):
-            if u is self._false:
-                return
-            if i == len(order):
-                out.append(frozenset(chosen))
-                return
-            lvl, v = order[i]
-            if u.level == lvl:
-                walk(u.lo, i + 1, chosen)
-                walk(u.hi, i + 1, chosen + [v])
-            else:
-                # v is unconstrained at this point
-                walk(u, i + 1, chosen)
-                walk(u, i + 1, chosen + [v])
-
-        try:
-            walk(node, 0, [])
-        finally:
-            # walk holds itself through its closure cell; emptying the
-            # cell frees it by reference counting, not by the cyclic
-            # collector (as in language.compile_with)
-            del walk
+        for cube in self.cubes(f):
+            fixed = {v for v, _ in cube}
+            free = [v for v in uni if v not in fixed]
+            base = [v for v, value in cube if value]
+            # every assignment of the variables the path does not test
+            for bits in range(2 ** len(free)):
+                out.append(frozenset(base + [v for k, v in enumerate(free) if bits >> k & 1]))
 
         def key(s):
             # binary counting: the first caller variable is most significant
@@ -507,7 +457,9 @@ class Engine:
         try:
             return walk(node, 0)
         finally:
-            del walk  # as in sat_assignments
+            # walk holds itself through its closure cell; emptying the
+            # cell frees it by reference counting, not by the cyclic collector
+            del walk
 
     def cubes(self, f: "BoolFn") -> list[list[tuple[VarId, bool]]]:
         """Paths to true, as (variable, polarity) lists in diagram order.
@@ -565,7 +517,7 @@ class Engine:
                     acc = self._true
                     for g in side:
                         if id(g) not in shared:
-                            acc = self._apply("and", acc, g)
+                            acc = self._ite(acc, g, self._false)
                     rest.append(acc)
                 out = (self._mk(u.level, *rest),) + tuple(g for g in lo if id(g) in shared)
             memo[id(u)] = out

@@ -39,7 +39,13 @@ from .scenario import (
     format_event_block,
     load_scenario,
 )
-from .symbolic import Scene, apply_event, scene_eval, shrink_scene
+from .symbolic import (
+    Scene,
+    apply_event,
+    scene_eval,
+    shrink_scene,
+    transform_with_copies,
+)
 
 
 def format_scene(scene: Scene, heading: str) -> str:
@@ -170,6 +176,8 @@ def run_translate(args) -> int:
                 return 2
             scene = build_scene(scenario, engine)
             event = build_event(scenario.events[0], scene.structure, engine)
+            # reject what check rejects at step 1: unbound atoms, unknown agents
+            transform_with_copies(scene.structure, event.transformer)
             action, designated = act(event)
             body = format_action_block(action, designated)
         else:

@@ -46,6 +46,8 @@ from .explicit import ActionModel, format_point
 from .language import (
     TOP,
     Formula,
+    agents_of,
+    atoms_of,
     compile_formula,
     format_formula,
     parse,
@@ -378,7 +380,26 @@ def build_event(
 def build_action(
     spec: ActionSpec, scenario: Scenario, engine: Engine
 ) -> tuple[ActionModel, str]:
-    """Build the ACTION block's action model and its designated event."""
+    """Build the ACTION block's action model and its designated event.
+
+    A POST target, atom or agent outside VARS and AGENTS is a ParseError.
+    """
+    declared = set(scenario.vars)
+    formulas = list(spec.pre.values())
+    for entries in spec.post.values():
+        for name, phi in entries:
+            if name not in declared:
+                raise ParseError(
+                    f"POST of a variable outside the vocabulary: {name}", line=spec.line
+                )
+            formulas.append(phi)
+    for phi in formulas:
+        for what, stray in (
+            ("unbound atom", atoms_of(phi) - declared),
+            ("unknown agent", agents_of(phi) - set(scenario.agents)),
+        ):
+            if stray:
+                raise ParseError(f"{what}: {', '.join(sorted(stray))}", line=spec.line)
     for name in scenario.vars:
         engine.variable(name)
     relations = {

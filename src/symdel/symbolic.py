@@ -366,18 +366,14 @@ def determined_value(structure: BeliefStructure, var: VarId) -> bool | None:
     return None
 
 
-def minimize(
-    structure: BeliefStructure, keep: Iterable[VarId] = ()
-) -> BeliefStructure:
-    """Drop every vocabulary variable not in keep.
+def shrink(structure: BeliefStructure, keep: Iterable[VarId] = ()) -> BeliefStructure:
+    """Best effort: drop the determined variables outside keep, keep the rest.
 
-    Only variables whose value is fixed by the state law can go;
-    anything else raises NotDetermined.  The law and the observation
-    functions are restricted to the fixed values (observations on both
-    the plain and the primed side).
+    The law and the observation functions are restricted to the fixed
+    values (observations on both the plain and the primed side).
     """
     engine = structure.engine
-    keep_set = frozenset(keep)
+    keep_set = set(keep)
     law = structure.law
     observations = dict(structure.observations)
     for v in structure.vocabulary:
@@ -385,9 +381,8 @@ def minimize(
             continue
         value = determined_value(structure, v)
         if value is None:
-            raise NotDetermined(
-                f"variable {v.name} is not determined by the state law"
-            )
+            keep_set.add(v)
+            continue
         law = engine.restrict(law, v, value)
         vp = engine.primed(v)
         observations = {
@@ -398,18 +393,27 @@ def minimize(
     return BeliefStructure(engine, vocab, law, observations)
 
 
+def minimize(
+    structure: BeliefStructure, keep: Iterable[VarId] = ()
+) -> BeliefStructure:
+    """Drop every vocabulary variable not in keep.
+
+    Only variables whose value is fixed by the state law can go;
+    anything else raises NotDetermined.
+    """
+    keep_set = frozenset(keep)
+    reduced = shrink(structure, keep_set)
+    for v in reduced.vocabulary:
+        if v not in keep_set:
+            raise NotDetermined(
+                f"variable {v.name} is not determined by the state law"
+            )
+    return reduced
+
+
 def minimize_scene(scene: Scene, keep: Iterable[VarId] = ()) -> Scene:
     reduced = minimize(scene.structure, keep)
     return Scene(reduced, scene.state & frozenset(reduced.vocabulary))
-
-
-def shrink(structure: BeliefStructure, keep: Iterable[VarId] = ()) -> BeliefStructure:
-    """Best effort: drop the determined variables outside keep, keep the rest."""
-    keep_set = set(keep)
-    for v in structure.vocabulary:
-        if v not in keep_set and determined_value(structure, v) is None:
-            keep_set.add(v)
-    return minimize(structure, keep_set)
 
 
 def shrink_scene(scene: Scene, keep: Iterable[VarId] = ()) -> Scene:

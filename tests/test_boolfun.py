@@ -1,5 +1,6 @@
 """Engine tests: canonicity against truth tables, operation oracles."""
 
+import itertools
 import random
 
 import pytest
@@ -58,6 +59,65 @@ def test_combine_contradiction_and_iff():
     assert (fp & ~fp).is_false
     models = engine.sat_assignments(fp.iff(fq), [p, q])
     assert models == [frozenset(), frozenset({p, q})]
+
+
+CONNECTIVES = {
+    "not": lambda a: not a,
+    "and": lambda *args: all(args),
+    "or": lambda *args: any(args),
+    "xor": lambda a, b: a != b,
+    "implies": lambda a, b: not a or b,
+    "iff": lambda a, b: a == b,
+}
+
+
+def test_combine_matches_truth_tables():
+    """Every connective on seeded random functions, their complements and
+    the constants, so equal, complementary and constant arguments occur."""
+    rng = random.Random("combine")
+    engine = Engine()
+    names = ["p", "q", "r"]
+    env = _env(engine, names)
+    rows = [{n for j, n in enumerate(names) if (k >> j) & 1} for k in range(8)]
+
+    def table_of(fn):
+        return tuple(fn.holds({env[n] for n in row}) for row in rows)
+
+    for _ in range(40):
+        pool = [(engine.true, (True,) * 8), (engine.false, (False,) * 8)]
+        for _ in range(2):
+            formula = random_boolean_formula(rng, names, 3)
+            fn = compile_formula(formula, env, engine)
+            table = tuple(bf_truth(formula, row) for row in rows)
+            pool += [(fn, table), (~fn, tuple(not v for v in table))]
+        for op, truth in CONNECTIVES.items():
+            arity = 1 if op == "not" else 2
+            for picks in itertools.product(pool, repeat=arity):
+                args = [fn for fn, _ in picks]
+                want = tuple(truth(*values) for values in zip(*(t for _, t in picks)))
+                assert table_of(engine.combine(op, args)) == want, op
+        picks = rng.sample(pool, 3)
+        tables = list(zip(*(t for _, t in picks)))
+        args = [fn for fn, _ in picks]
+        assert table_of(engine.combine("and", args)) == tuple(map(all, tables))
+        assert table_of(engine.combine("or", args)) == tuple(map(any, tables))
+        for op in ("and", "or"):
+            assert engine.combine(op, args[:1]) == args[0]
+    assert engine.combine("and", []).is_true
+    assert engine.combine("or", []).is_false
+
+
+def test_combine_arity_and_unknown_connective():
+    engine = Engine()
+    p = engine.atom(engine.variable("p"))
+    with pytest.raises(BoolFnError, match="not takes exactly one argument"):
+        engine.combine("not", [p, p])
+    for op in ("xor", "implies", "iff"):
+        for args in ([p], [p, p, p]):
+            with pytest.raises(BoolFnError, match=f"{op} takes exactly two arguments"):
+                engine.combine(op, args)
+    with pytest.raises(BoolFnError, match="unknown connective: nand"):
+        engine.combine("nand", [p, p])
 
 
 def test_coin_result_law_built_from_parts():
@@ -173,19 +233,21 @@ def test_sat_assignments_order_and_membership():
     rng = random.Random("sat")
     engine = Engine()
     names = ["p", "q", "r"]
-    env = _env(engine, names)
-    universe = [env[n] for n in names]
-    for _ in range(100):
-        formula = random_boolean_formula(rng, names, 3)
-        fn = compile_formula(formula, env, engine)
-        got = engine.sat_assignments(fn, universe)
-        expected = []
-        for k in range(8):
-            row = {n for j, n in enumerate(names) if (k >> (len(names) - 1 - j)) & 1}
-            if bf_truth(formula, row):
-                expected.append(frozenset(env[n] for n in row))
-        assert got == expected
-        assert engine.count_sat(fn, universe) == len(expected)
+    env = _env(engine, names + ["s"])
+    # as given, reversed, and with s, which no formula mentions
+    for order in (names, names[::-1], ["p", "s", "q", "r"]):
+        universe = [env[n] for n in order]
+        for _ in range(100):
+            formula = random_boolean_formula(rng, names, 3)
+            fn = compile_formula(formula, env, engine)
+            got = engine.sat_assignments(fn, universe)
+            expected = []
+            for k in range(2 ** len(order)):
+                row = {n for j, n in enumerate(order) if (k >> (len(order) - 1 - j)) & 1}
+                if bf_truth(formula, row):
+                    expected.append(frozenset(env[n] for n in row))
+            assert got == expected
+            assert engine.count_sat(fn, universe) == len(expected)
 
 
 def test_sat_assignments_universe_validation():

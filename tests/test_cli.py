@@ -368,6 +368,28 @@ def test_translate_requires_matching_block(tmp_path, capsys):
     assert "needs an ACTION block" in err
 
 
+@pytest.mark.parametrize(
+    "target, block, name",
+    [
+        ("transformer", "ACTION\nEVENTS e0\nPOST e0: zz := p\nDESIGNATED e0\n", "zz"),
+        ("transformer", "ACTION\nEVENTS e0\nPOST e0: p := yy\nDESIGNATED e0\n", "yy"),
+        ("transformer", "ACTION\nEVENTS e0\nPRE e0: [b] p\nDESIGNATED e0\n", "b"),
+        ("action", "EVENT\nPRE zz | [b] p\nCHANGE p := yy\n", "zz"),
+        ("action", "EVENT\nCHANGE p := yy\n", "yy"),
+        ("action", "EVENT\nPRE [b] p\n", "b"),
+    ],
+    ids=["post_target", "post_atom", "pre_agent", "event_pre", "event_change", "event_agent"],
+)
+def test_translate_rejects_undeclared_names(tmp_path, capsys, target, block, name):
+    # check rejects these at step 1, so translate must not print a block
+    path = tmp_path / "undeclared.scn"
+    path.write_text(f"AGENTS a\nVARS p\nLAW Top\nSTATE p\n{block}", encoding="utf-8")
+    code, out, err = run(capsys, "translate", str(path), "--to", target)
+    assert code == 2
+    assert out == ""
+    assert err.rstrip().endswith(f": {name}")
+
+
 # -- prove ---------------------------------------------------------------------------
 
 def test_prove_vacuous(capsys):

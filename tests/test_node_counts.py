@@ -73,6 +73,15 @@ def test_coin_flip_law_grows_linearly(flips):
     assert final_law_nodes(coin_flips(flips)) <= 12 * flips
 
 
+def test_if_then_else_builds_no_intermediate_diagrams():
+    # Every node the engine ever made stays in its unique table.  An
+    # if-then-else composed of and/or/not calls leaves about 75,000 there
+    # after 60 flips; one recursion leaves 37,605.  Engine.stats()
+    # (ROADMAP item 3) is to replace this read of a private table.
+    engine = final_structure(coin_flips(60)).engine
+    assert len(engine._unique) <= 45_000
+
+
 def test_sally_anne_chained_law_stays_small():
     assert final_law_nodes(sally_anne(16)) <= 256
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import epistemic_formulas, scene_eval_enum
+from symdel import symbolic
 from symdel.boolfun import Engine
 from symdel.bridge import generate_scene_event
 from symdel.errors import (
@@ -399,6 +400,20 @@ def test_shrink_drops_exactly_the_determined_variables():
     reduced = minimize(structure, keep=())
     assert reduced.vocabulary == ()
     assert reduced.law.is_true
+
+
+def test_shrink_decides_each_variable_once(monkeypatch):
+    engine = Engine()
+    after = apply_event(coin_start(engine), coin_flip(engine))
+    decided = []
+
+    def counting(structure, var):
+        decided.append(var)
+        return determined_value(structure, var)
+
+    monkeypatch.setattr(symbolic, "determined_value", counting)
+    assert shrink(after.structure).vocabulary == (engine.variable("p"), engine.variable("q"))
+    assert sorted(v.name for v in decided) == ["p", "p°", "q"]
 
 
 # -- translation guards -------------------------------------------------------
