@@ -84,7 +84,6 @@ from .symbolic import (
     apply_event,
     bool_translate,
     compile_event_law,
-    determined_value,
     minimize,
     minimize_scene,
     scene_eval,
@@ -119,6 +118,6 @@ __all__ = [
     # symbolic
     "BeliefStructure", "Event", "Scene", "Transformer", "Update",
     "apply_event", "bool_translate", "compile_event_law",
-    "determined_value", "minimize", "minimize_scene", "scene_eval",
-    "shrink", "shrink_scene", "transform_with_copies",
+    "minimize", "minimize_scene", "scene_eval", "shrink", "shrink_scene",
+    "transform_with_copies",
 ]

@@ -4,8 +4,10 @@ Functions are stored as reduced ordered binary decision diagrams with a
 shared node table per engine, so two functions built in the same engine
 denote the same boolean function exactly when they are the same object.
 One memoised if-then-else recursion (`Engine._ite`) is the only
-connective kernel: every connective, each quantifier step and every
-substitution is one call of it.
+connective kernel: every connective and every substitution is one call
+of it.  One more memoised recursion (`Engine._quant`) quantifies a whole
+set of variables in one pass, joining the two quantified cofactors with
+if-then-else at each quantified level.
 
 Each variable is a stem plus two decorations: a copy generation (0 for
 the live variable, n > 0 for the n-th frozen snapshot of it, printed
@@ -238,19 +240,22 @@ class Engine:
             self._cache[key] = r
         return r
 
-    def _quant(self, u, lvl, conj):
-        if u.level > lvl:
+    def _quant(self, u, levels, last, conj):
+        # levels is a frozenset with largest element last; nothing below
+        # last is quantified
+        if u.level > last:
             return u
-        if u.level == lvl:
-            if conj:
-                return self._ite(u.lo, u.hi, self._false)
-            return self._ite(u.lo, self._true, u.hi)
-        key = ("all" if conj else "any", id(u), lvl)
+        key = ("all" if conj else "any", id(u), levels)
         r = self._cache.get(key)
         if r is None:
-            r = self._mk(
-                u.level, self._quant(u.lo, lvl, conj), self._quant(u.hi, lvl, conj)
-            )
+            lo = self._quant(u.lo, levels, last, conj)
+            hi = self._quant(u.hi, levels, last, conj)
+            if u.level not in levels:
+                r = self._mk(u.level, lo, hi)
+            elif conj:
+                r = self._ite(lo, hi, self._false)
+            else:
+                r = self._ite(lo, self._true, hi)
             self._cache[key] = r
         return r
 
@@ -313,10 +318,9 @@ class Engine:
 
     def _quantify(self, f, variables, conj):
         node = self._node_of(f)
-        levels = {self._check_var(v) for v in variables}
-        # innermost first keeps the intermediate diagrams at or below the root
-        for lvl in sorted(levels, reverse=True):
-            node = self._quant(node, lvl, conj)
+        levels = frozenset(self._check_var(v) for v in variables)
+        if levels:
+            node = self._quant(node, levels, max(levels), conj)
         return BoolFn(self, node)
 
     def compose(self, f: "BoolFn", var: VarId, g: "BoolFn") -> BoolFn:

@@ -355,41 +355,40 @@ def apply_event(scene: Scene, event: Event) -> Scene:
     return Scene(update.structure, state_new)
 
 
-def determined_value(structure: BeliefStructure, var: VarId) -> bool | None:
-    """True/False if the law fixes var on all states, else None."""
-    engine = structure.engine
-    fn = engine.atom(var)
-    if engine.entails(structure.law, fn):
-        return True
-    if engine.entails(structure.law, ~fn):
-        return False
-    return None
-
-
 def shrink(structure: BeliefStructure, keep: Iterable[VarId] = ()) -> BeliefStructure:
     """Best effort: drop the determined variables outside keep, keep the rest.
 
+    The law fixes a variable exactly when that variable, or its
+    negation, is one of the law's factors (`Engine.factors`), so one
+    pass over the law finds them all; a false law fixes every variable.
     The law and the observation functions are restricted to the fixed
     values (observations on both the plain and the primed side).
     """
     engine = structure.engine
-    keep_set = set(keep)
     law = structure.law
+    if law.is_false:
+        # false entails both literals of every variable; take true
+        fixed = {v: True for v in structure.vocabulary}
+    else:
+        fixed = {}
+        for g in engine.factors(law):
+            support = g.support()
+            if len(support) == 1:
+                (v,) = support
+                fixed[v] = g.holds((v,))
+    dropped = fixed.keys() - set(keep)
     observations = dict(structure.observations)
     for v in structure.vocabulary:
-        if v in keep_set:
+        if v not in dropped:
             continue
-        value = determined_value(structure, v)
-        if value is None:
-            keep_set.add(v)
-            continue
+        value = fixed[v]
         law = engine.restrict(law, v, value)
         vp = engine.primed(v)
         observations = {
             agent: engine.restrict(engine.restrict(obs, v, value), vp, value)
             for agent, obs in observations.items()
         }
-    vocab = tuple(v for v in structure.vocabulary if v in keep_set)
+    vocab = tuple(v for v in structure.vocabulary if v not in dropped)
     return BeliefStructure(engine, vocab, law, observations)
 
 

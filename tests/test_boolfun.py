@@ -219,6 +219,23 @@ def test_quantifier_order_does_not_matter():
         subset = rng.sample(list(env.values()), 2)
         assert engine.forall(f, subset) == engine.forall(f, list(reversed(subset)))
         assert engine.exists(f, subset) == engine.exists(f, list(reversed(subset)))
+    # A whole set at once equals one variable after another, each step
+    # spelled out by restriction: sets of every size over five-variable
+    # formulas, in one engine so the quantifier caches are shared.  z is
+    # in no support.
+    names = ["p", "q", "r", "u", "w"]
+    env = _env(engine, names + ["z"])
+    variables = list(env.values())
+    for _ in range(60):
+        f = compile_formula(random_boolean_formula(rng, names, 4), env, engine)
+        for size in range(len(variables) + 1):
+            subset = rng.sample(variables, size)
+            every = some = f
+            for v in subset:
+                every = engine.restrict(every, v, False) & engine.restrict(every, v, True)
+                some = engine.restrict(some, v, False) | engine.restrict(some, v, True)
+            assert engine.forall(f, subset) == every
+            assert engine.exists(f, subset) == some
 
 
 def test_quantify_whole_support_gives_constant():

@@ -7,12 +7,13 @@ so these assertions pin the semantics, not just the printed shape.
 """
 
 import gc
+import random
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import epistemic_formulas, scene_eval_enum
-from symdel import symbolic
+from test_node_counts import coin_flips, sally_anne
 from symdel.boolfun import Engine
 from symdel.bridge import generate_scene_event
 from symdel.errors import (
@@ -31,6 +32,7 @@ from symdel.language import (
     format_formula,
     parse,
 )
+from symdel.scenario import build_event, build_scene, parse_scenario
 from symdel.symbolic import (
     BeliefStructure,
     Event,
@@ -39,7 +41,6 @@ from symdel.symbolic import (
     Translator,
     apply_event,
     bool_translate,
-    determined_value,
     minimize,
     minimize_scene,
     scene_eval,
@@ -379,11 +380,11 @@ def test_shrink_drops_exactly_the_determined_variables():
     after = apply_event(coin_start(engine), coin_flip(engine))
     p, q = engine.variable("p"), engine.variable("q")
     pc = var_named(after.structure, "p°")
-    assert determined_value(after.structure, pc) is True
-    assert determined_value(after.structure, p) is None
 
+    # p° is fixed to true, and p and q are not fixed
     reduced = shrink(after.structure)
     assert reduced.vocabulary == (p, q)
+    assert reduced.law == engine.restrict(after.structure.law, pc, True)
     direct = minimize(after.structure, keep=(p, q))
     assert reduced.law == direct.law
     assert reduced.observations == direct.observations
@@ -396,24 +397,104 @@ def test_shrink_drops_exactly_the_determined_variables():
     u, w = engine2.variable("u"), engine2.variable("w")
     law = engine2.atom(u) & ~engine2.atom(w)
     structure = BeliefStructure(engine2, (u, w), law, {"a": engine2.true})
-    assert determined_value(structure, w) is False
+    assert minimize(structure, keep=(u,)).law == engine2.atom(u)
     reduced = minimize(structure, keep=())
     assert reduced.vocabulary == ()
     assert reduced.law.is_true
 
 
 def test_shrink_decides_each_variable_once(monkeypatch):
+    # one split of the law into factors decides every variable
     engine = Engine()
     after = apply_event(coin_start(engine), coin_flip(engine))
-    decided = []
+    splits = []
+    factors = engine.factors
 
-    def counting(structure, var):
-        decided.append(var)
-        return determined_value(structure, var)
+    def counting(f):
+        splits.append(f)
+        return factors(f)
 
-    monkeypatch.setattr(symbolic, "determined_value", counting)
+    monkeypatch.setattr(engine, "factors", counting)
     assert shrink(after.structure).vocabulary == (engine.variable("p"), engine.variable("q"))
-    assert sorted(v.name for v in decided) == ["p", "p°", "q"]
+    assert splits == [after.structure.law]
+
+
+def reference_shrink(structure, keep=()):
+    """The per-variable shrink: up to two entailments per variable outside keep."""
+    engine = structure.engine
+    keep_set = set(keep)
+    law = structure.law
+    observations = dict(structure.observations)
+    for v in structure.vocabulary:
+        if v in keep_set:
+            continue
+        fn = engine.atom(v)
+        if engine.entails(structure.law, fn):
+            value = True
+        elif engine.entails(structure.law, ~fn):
+            value = False
+        else:
+            keep_set.add(v)
+            continue
+        law = engine.restrict(law, v, value)
+        vp = engine.primed(v)
+        observations = {
+            agent: engine.restrict(engine.restrict(obs, v, value), vp, value)
+            for agent, obs in observations.items()
+        }
+    vocab = tuple(v for v in structure.vocabulary if v in keep_set)
+    return BeliefStructure(engine, vocab, law, observations)
+
+
+def assert_shrinks_as_reference(structure, keep):
+    got, want = shrink(structure, keep), reference_shrink(structure, keep)
+    assert got.vocabulary == want.vocabulary
+    assert got.law == want.law
+    assert got.observations == want.observations
+    return len(structure.vocabulary) - len(got.vocabulary)
+
+
+def test_shrink_matches_the_per_variable_reference_on_updates():
+    rng = random.Random("shrink")
+    dropped = 0
+    for seed in range(300):
+        scene, event = generate_scene_event(seed)
+        structure = transform_with_copies(scene.structure, event.transformer).structure
+        keep = [v for v in structure.vocabulary if rng.random() < 0.5]
+        dropped += assert_shrinks_as_reference(structure, keep)
+        dropped += assert_shrinks_as_reference(structure, ())
+    assert dropped >= 300
+
+
+@pytest.mark.parametrize("text", [coin_flips(12), sally_anne(4)], ids=["coin_flips", "sally_anne"])
+def test_shrink_matches_the_per_variable_reference_on_chains(text):
+    # every prefix, minimised after each event as `check --minimize` does
+    scenario = parse_scenario(text)
+    engine = Engine()
+    scene = build_scene(scenario, engine)
+    keep = list(scene.structure.vocabulary)
+    dropped = 0
+    for spec in scenario.events:
+        event = build_event(spec, scene.structure, engine)
+        scene = apply_event(scene, event)
+        keep.extend(event.transformer.add_vocab)
+        dropped += assert_shrinks_as_reference(scene.structure, keep)
+        assert_shrinks_as_reference(scene.structure, ())
+        scene = shrink_scene(scene, keep)
+    assert dropped > 0
+
+
+def test_shrink_of_a_false_law_drops_every_variable_outside_keep():
+    engine = Engine()
+    u, w = engine.variable("u"), engine.variable("w")
+    obs = engine.atom(u).iff(engine.atom(engine.primed(w)))
+    structure = BeliefStructure(engine, (u, w), engine.false, {"a": obs})
+    for keep in [(), (u,), (w,), (u, w)]:
+        assert_shrinks_as_reference(structure, keep)
+    reduced = shrink(structure, (u,))
+    assert reduced.vocabulary == (u,)
+    assert reduced.law.is_false
+    assert reduced.observations["a"] == engine.atom(u)
 
 
 # -- translation guards -------------------------------------------------------
