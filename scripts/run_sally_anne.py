@@ -13,16 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from symdel import (
-    Engine,
-    apply_event,
-    build_event,
-    build_scene,
-    load_scenario,
-    parse,
-    scene_eval,
-    shrink_scene,
-)
+from symdel import Engine, build_scene, load_scenario, parse, run_events, scene_eval
 from symdel.cli import format_scene
 
 QUERIES = [
@@ -45,17 +36,11 @@ def main() -> int:
 
     scenario_path = Path(__file__).resolve().parent.parent / "scenarios" / "sally_anne.scn"
     scenario = load_scenario(str(scenario_path))
-    engine = Engine()
-    scene = build_scene(scenario, engine)
-    keep = list(scene.structure.vocabulary)
+    scene = build_scene(scenario, Engine())
 
     print(format_scene(scene, "initial (t: marble in basket, p: Sally present)"))
-    for step, spec in enumerate(scenario.events, start=1):
-        event = build_event(spec, scene.structure, engine)
-        scene = apply_event(scene, event)
-        keep.extend(event.transformer.add_vocab)
-        if not args.no_minimize:
-            scene = shrink_scene(scene, keep)
+    steps = run_events(scenario, scene, minimize=not args.no_minimize)
+    for step, (_, scene) in enumerate(steps, start=1):
         print()
         print(format_scene(scene, f"after event {step}"))
 

@@ -74,6 +74,7 @@ from .scenario import (
     format_event_block,
     load_scenario,
     parse_scenario,
+    run_events,
 )
 from .symbolic import (
     BeliefStructure,
@@ -82,7 +83,6 @@ from .symbolic import (
     Transformer,
     Update,
     apply_event,
-    bool_translate,
     compile_event_law,
     minimize,
     minimize_scene,
@@ -114,10 +114,10 @@ __all__ = [
     # scenario
     "Scenario", "build_action", "build_event", "build_scene",
     "format_action_block", "format_event_block", "load_scenario",
-    "parse_scenario",
+    "parse_scenario", "run_events",
     # symbolic
     "BeliefStructure", "Event", "Scene", "Transformer", "Update",
-    "apply_event", "bool_translate", "compile_event_law",
+    "apply_event", "compile_event_law",
     "minimize", "minimize_scene", "scene_eval", "shrink", "shrink_scene",
     "transform_with_copies",
 ]

@@ -58,7 +58,6 @@ from .symbolic import (
     Scene,
     Transformer,
     Update,
-    bool_translate,
     compile_event_law,
     minimize,
     transform_with_copies,
@@ -560,7 +559,7 @@ def check_translation(scene: Scene, formulas) -> str | None:
     evaluator = GlobalEvaluator(model_of_structure(structure))
     states = structure.states()
     for phi in formulas:
-        fn = bool_translate(structure, phi)
+        fn = structure.translator.fn(phi)
         for state in states:
             names = frozenset(v.name for v in state)
             if fn.holds(state) != evaluator.satisfies(names, phi):

@@ -38,14 +38,9 @@ from .scenario import (
     format_action_block,
     format_event_block,
     load_scenario,
+    run_events,
 )
-from .symbolic import (
-    Scene,
-    apply_event,
-    scene_eval,
-    shrink_scene,
-    transform_with_copies,
-)
+from .symbolic import Scene, scene_eval, transform_with_copies
 
 
 def format_scene(scene: Scene, heading: str) -> str:
@@ -72,8 +67,7 @@ def _scene_json(scene: Scene) -> dict:
 def run_check(args) -> int:
     try:
         scenario = load_scenario(args.file)
-        engine = Engine()
-        scene = build_scene(scenario, engine)
+        scene = build_scene(scenario, Engine())
     except OSError as error:
         print(error, file=sys.stderr)
         return 2
@@ -81,33 +75,19 @@ def run_check(args) -> int:
         print(f"{args.file}: {error}", file=sys.stderr)
         return 2
 
-    keep = list(scene.structure.vocabulary)
-    scenes = [scene]
-    steps = []
-    for number, spec in enumerate(scenario.events, start=1):
-        try:
-            event = build_event(spec, scene.structure, engine)
-            scene = apply_event(scene, event)
-            keep.extend(event.transformer.add_vocab)
-            if args.minimize:
-                scene = shrink_scene(scene, keep)
-        except SymdelError as error:
-            print(f"{args.file}: step {number}: {error}", file=sys.stderr)
-            return 2
-        scenes.append(scene)
-        steps.append(event)
+    scenes, events = [scene], []
+    try:
+        for event, after in run_events(scenario, scene, args.minimize):
+            events.append(event)
+            scenes.append(after)
+    except SymdelError as error:
+        print(f"{args.file}: step {len(scenes)}: {error}", file=sys.stderr)
+        return 2
 
     checks = []
     failed = False
     for spec in scenario.checks:
         index = spec.after if spec.after is not None else len(scenario.events)
-        if not 0 <= index <= len(scenario.events):
-            print(
-                f"{args.file}: line {spec.line}: "
-                f"check after {index} outside 0..{len(scenario.events)}",
-                file=sys.stderr,
-            )
-            return 2
         try:
             value = scene_eval(scenes[index], spec.formula)
         except SymdelError as error:
@@ -137,10 +117,10 @@ def run_check(args) -> int:
         return 1 if failed else 0
 
     print(format_scene(scenes[0], "initial"))
-    for number, after in enumerate(scenes[1:], start=1):
+    for number, (event, after) in enumerate(zip(events, scenes[1:]), start=1):
         if args.trace:
             print()
-            print(format_event_block(steps[number - 1].transformer, steps[number - 1].actual))
+            print(format_event_block(event.transformer, event.actual))
         print()
         print(format_scene(after, f"after event {number}"))
     if checks:

@@ -32,12 +32,14 @@ blank lines separate nothing in particular.
 Omitted LAW and PRE default to Top, omitted OBS and OBS+ to Top (the
 agent learns nothing), omitted REL to the empty relation, omitted
 STATE and ASSIGN to the empty set.  CHECK without `after` runs after
-the last event; EXPECT turns the query into a pass/fail assertion.
+the last event; N in `CHECK after N` must be at most the number of
+EVENT blocks.  EXPECT turns the query into a pass/fail assertion.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .boolfun import Engine
@@ -53,7 +55,14 @@ from .language import (
     parse,
     recover_formula,
 )
-from .symbolic import BeliefStructure, Event, Scene, Transformer
+from .symbolic import (
+    BeliefStructure,
+    Event,
+    Scene,
+    Transformer,
+    apply_event,
+    shrink_scene,
+)
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*(?:(?:°|@o)[0-9]*)?'?"
 _EVENT_ID = r"[^\s:]+"
@@ -301,6 +310,12 @@ def _validate(scenario: Scenario) -> None:
                 f"ASSIGN of undeclared event variable: {sorted(assigned)[0]}",
                 line=spec.line,
             )
+    steps = len(scenario.events)
+    for check in scenario.checks:
+        if check.after is not None and check.after > steps:
+            raise ParseError(
+                f"check after {check.after} outside 0..{steps}", line=check.line
+            )
     action = scenario.action
     if action is not None:
         ids = set(action.events)
@@ -375,6 +390,27 @@ def build_event(
     transformer = Transformer(add, spec.pre, tuple(modified), changes, event_obs)
     actual = frozenset(engine.variable(name) for name in spec.assign)
     return Event(transformer, actual)
+
+
+def run_events(
+    scenario: Scenario, scene: Scene, minimize: bool = False
+) -> Iterator[tuple[Event, Scene]]:
+    """Apply the scenario's events to `scene` in order, yielding each
+    event with the scene after it.
+
+    With `minimize`, every scene is shrunk, keeping the starting
+    vocabulary and the event variables issued so far, so only
+    snapshots go.  An event that fails raises when its step is reached.
+    """
+    engine = scene.structure.engine
+    keep = list(scene.structure.vocabulary)
+    for spec in scenario.events:
+        event = build_event(spec, scene.structure, engine)
+        scene = apply_event(scene, event)
+        keep.extend(event.transformer.add_vocab)
+        if minimize:
+            scene = shrink_scene(scene, keep)
+        yield event, scene
 
 
 def build_action(

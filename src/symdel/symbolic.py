@@ -220,11 +220,6 @@ class Translator:
         )
 
 
-def bool_translate(structure: BeliefStructure, formula: Formula) -> BoolFn:
-    """Local boolean translation of a formula over the structure's vocabulary."""
-    return structure.translator.fn(formula)
-
-
 def scene_eval(scene: Scene, formula: Formula) -> bool:
     """Truth at the scene: the boolean translation, evaluated at the state."""
     return scene.structure.translator.fn(formula).holds(scene.state)

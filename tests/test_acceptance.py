@@ -22,7 +22,7 @@ from symdel.bridge import (
 )
 from symdel.explicit import model_of_structure, product_update
 from symdel.language import TOP, Atom, parse
-from symdel.scenario import build_event, build_scene, load_scenario
+from symdel.scenario import build_scene, load_scenario, run_events
 from symdel.symbolic import (
     BeliefStructure,
     Event,
@@ -31,7 +31,6 @@ from symdel.symbolic import (
     apply_event,
     minimize_scene,
     scene_eval,
-    shrink_scene,
     transform_with_copies,
 )
 
@@ -48,15 +47,8 @@ def test_criterion_1_false_belief_scenario_end_to_end():
 
     scenario = load_scenario(str(ROOT / "scenarios" / "sally_anne.scn"))
     engine = Engine()
-    scene = build_scene(scenario, engine)
-    keep = list(scene.structure.vocabulary)
-    scenes = [scene]
-    for spec in scenario.events:
-        event = build_event(spec, scene.structure, engine)
-        scene = apply_event(scene, event)
-        keep.extend(event.transformer.add_vocab)
-        scene = shrink_scene(scene, keep)
-        scenes.append(scene)
+    scenes = [build_scene(scenario, engine)]
+    scenes += [scene for _, scene in run_events(scenario, scenes[0], minimize=True)]
 
     p, t, q = (engine.variable(s) for s in ("p", "t", "q"))
     fp, ft, fq = engine.atom(p), engine.atom(t), engine.atom(q)

@@ -1,8 +1,10 @@
 """Command-line tests: golden outputs, exit codes, JSON shape."""
 
 import json
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -210,14 +212,15 @@ def test_check_parse_error(tmp_path, capsys):
 
 def test_check_blocked_event(tmp_path, capsys):
     path = tmp_path / "blocked.scn"
-    path.write_text(
-        "AGENTS a\nVARS p\nLAW p\nSTATE p\nEVENT\nPRE ~p\n",
-        encoding="utf-8",
-    )
-    code, _, err = run(capsys, "check", str(path))
-    assert code == 2
-    assert "step 1" in err
-    assert "not executable" in err
+    for events, step in (
+        ("EVENT\nPRE ~p\n", 1),
+        ("EVENT\nCHANGE p := Bot\nEVENT\nPRE p\n", 2),
+    ):
+        path.write_text("AGENTS a\nVARS p\nLAW p\nSTATE p\n" + events, encoding="utf-8")
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert f"step {step}:" in err
+        assert "not executable" in err
 
 
 def test_check_index_out_of_range(tmp_path, capsys):
@@ -229,6 +232,15 @@ def test_check_index_out_of_range(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
     assert "after 3" in err
+    # the index is checked when the file is read, before a blocked step 1
+    path.write_text(
+        "AGENTS a\nVARS p\nLAW p\nSTATE p\nEVENT\nPRE ~p\nCHECK after 3 p\n",
+        encoding="utf-8",
+    )
+    for argv in (["check"], ["translate", "--to", "action"]):
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert err == f"{path}: line 7: check after 3 outside 0..1\n"
 
 
 def test_check_unknown_atom_in_query(tmp_path, capsys):
@@ -243,6 +255,52 @@ def test_check_unknown_atom_in_query(tmp_path, capsys):
         code, _, err = run(capsys, "check", str(path))
         assert code == 2, query
         assert "line 5" in err, query
+
+
+def _mutants(count: int, seed: int):
+    """Scenario files with one line deleted or duplicated, or one token replaced
+    by another token of the shipped scenarios."""
+    rng = random.Random(seed)
+    sources = [
+        path.read_text(encoding="utf-8").splitlines()
+        for path in sorted(SCENARIOS.glob("*.scn"))
+    ]
+    tokens = sorted({token for lines in sources for line in lines for token in line.split()})
+    for _ in range(count):
+        lines = list(rng.choice(sources))
+        k = rng.choice([i for i, line in enumerate(lines) if line.strip()[:1] not in ("", "#")])
+        kind = rng.randrange(3)
+        if kind == 0:
+            del lines[k]
+        elif kind == 1:
+            lines.insert(k, lines[k])
+        else:
+            words = lines[k].split()
+            words[rng.randrange(len(words))] = rng.choice(tokens)
+            lines[k] = " ".join(words)
+        yield "\n".join(lines) + "\n"
+
+
+def test_mutated_scenarios_exit_0_1_or_2(tmp_path, capsys):
+    path = tmp_path / "mutant.scn"
+    commands = (
+        ["check"],
+        ["check", "--minimize", "--json"],
+        ["translate", "--to", "action"],
+        ["translate", "--to", "transformer"],
+    )
+    codes = Counter()
+    for number, text in enumerate(_mutants(200, seed=12)):
+        path.write_text(text, encoding="utf-8")
+        for command in commands:
+            try:
+                code, _, _ = run(capsys, command[0], str(path), *command[1:])
+            except Exception as error:
+                pytest.fail(f"mutant {number}, {command}: {error!r}\n{text}")
+            assert code in (0, 1, 2), (number, command, text)
+            codes[code] += 1
+    # both accepted and rejected files, so the contract was exercised
+    assert codes[0] and codes[2], codes
 
 
 DEEP_CHECK = "AGENTS a\nVARS p\nLAW p\nSTATE p\nCHECK " + "~" * 1200 + "p\n"
@@ -424,3 +482,20 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "check [a] p = false [ok]" in result.stdout
+
+
+@pytest.mark.parametrize("minimize", [True, False], ids=["minimize", "no_minimize"])
+def test_run_sally_anne_script(minimize):
+    flags = [] if minimize else ["--no-minimize"]
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_sally_anne.py"), *flags],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert "[Sally] t: True" in lines
+    assert "t: False" in lines
+    last = result.stdout.split("after event 4\n")[1].splitlines()
+    assert ("  vars: p t q" in last) == minimize

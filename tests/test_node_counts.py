@@ -13,8 +13,8 @@ import pytest
 
 from symdel.boolfun import Engine
 from symdel.language import format_formula, parse, recover_formula
-from symdel.scenario import build_event, build_scene, parse_scenario
-from symdel.symbolic import apply_event, scene_eval, shrink_scene
+from symdel.scenario import build_scene, parse_scenario, run_events
+from symdel.symbolic import scene_eval
 
 
 def coin_flips(flips: int) -> str:
@@ -53,18 +53,11 @@ def sally_anne(rounds: int) -> str:
 
 
 def final_scene(text: str, minimize: bool = False):
-    """The last scene, shrunk after each event if asked, keeping the
-    original and the event variables as `check --minimize` does."""
+    """The last scene, shrunk after each event if asked, as `check` computes it."""
     scenario = parse_scenario(text)
-    engine = Engine()
-    scene = build_scene(scenario, engine)
-    keep = list(scene.structure.vocabulary)
-    for spec in scenario.events:
-        event = build_event(spec, scene.structure, engine)
-        scene = apply_event(scene, event)
-        keep.extend(event.transformer.add_vocab)
-        if minimize:
-            scene = shrink_scene(scene, keep)
+    scene = build_scene(scenario, Engine())
+    for _, scene in run_events(scenario, scene, minimize):
+        pass
     return scene
 
 

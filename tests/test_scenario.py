@@ -1,11 +1,14 @@
 """Scenario format tests: parsing, validation, building, rendering."""
 
+from pathlib import Path
+
 import pytest
 
 from symdel.boolfun import Engine
-from symdel.errors import ParseError
+from symdel.errors import NotExecutable, ParseError
 from symdel.language import TOP, parse
 from symdel.scenario import (
+    EventSpec,
     build_action,
     build_event,
     build_scene,
@@ -13,8 +16,11 @@ from symdel.scenario import (
     format_event_block,
     load_scenario,
     parse_scenario,
+    run_events,
 )
-from symdel.symbolic import apply_event, scene_eval
+from symdel.symbolic import Event, apply_event, scene_eval
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 FULL = """\
 # a structure, one event, two checks, one action
@@ -104,6 +110,7 @@ def test_check_line_variants():
         "CHECK after 0 p & q\n"
         "CHECK p EXPECT false\n"
         "CHECK after 2 [a] p EXPECT true\n"
+        "EVENT\nEVENT\n"
     )
     got = [(c.after, c.expect, c.formula) for c in scenario.checks]
     assert got == [
@@ -164,6 +171,9 @@ def test_validation_errors():
         "AGENTS a\nACTION\nEVENTS e\nREL a: e->f"
     )
     assert "undeclared event" in _error("ACTION\nEVENTS e\nDESIGNATED f")
+    # checked when the file is parsed, so a blocked step 1 cannot hide it
+    blocked = "AGENTS a\nVARS p\nLAW p\nSTATE p\nEVENT\nPRE ~p\nCHECK after 3 p\n"
+    assert _error(blocked) == "line 7: check after 3 outside 0..1"
 
 
 def test_load_scenario(tmp_path):
@@ -201,6 +211,52 @@ def test_build_event_rejects_unknown_change_target():
     with pytest.raises(ParseError) as err:
         build_event(scenario.events[0], scene.structure, engine)
     assert "outside the vocabulary" in str(err.value)
+
+
+def _vocabulary(scene) -> list[str]:
+    return [v.name for v in scene.structure.vocabulary]
+
+
+def test_run_events_on_sally_anne():
+    scenario = load_scenario(str(SCENARIOS / "sally_anne.scn"))
+
+    def steps(minimize):
+        return list(run_events(scenario, build_scene(scenario, Engine()), minimize))
+
+    full, shrunk = steps(False), steps(True)
+    assert len(full) == len(shrunk) == len(scenario.events) == 4
+    assert all(isinstance(event, Event) for event, _ in full + shrunk)
+    # q is an event variable and stays; the snapshots of p and t go
+    assert [_vocabulary(scene) for _, scene in shrunk] == [
+        ["p", "t"], ["p", "t"], ["p", "t", "q"], ["p", "t", "q"],
+    ]
+    assert _vocabulary(full[-1][1]) == ["p", "t", "t°", "p°", "q", "t°2", "p°2"]
+    assert scene_eval(shrunk[-1][1], parse("[Sally] t"))
+    assert scene_eval(full[-1][1], parse("[Sally] t"))
+
+
+def test_run_events_keeps_the_vocabulary_and_event_variables():
+    # the law fixes p, x and the snapshot of p; minimizing drops only the snapshot
+    scenario = parse_scenario(
+        "AGENTS a\nVARS p\nLAW p\nSTATE p\n"
+        "EVENT\nADDVARS x\nPRE x\nCHANGE p := x\nASSIGN x\n"
+    )
+    [(_, full)] = run_events(scenario, build_scene(scenario, Engine()))
+    [(_, shrunk)] = run_events(scenario, build_scene(scenario, Engine()), minimize=True)
+    assert _vocabulary(full) == ["p", "x", "p°"]
+    assert _vocabulary(shrunk) == ["p", "x"]
+
+
+def test_run_events_stops_at_a_blocked_step():
+    # after step 1 the marble is in the basket, so a step 2 that needs it
+    # elsewhere is blocked; the generator raises only when it gets there
+    scenario = load_scenario(str(SCENARIOS / "sally_anne.scn"))
+    scenario.events.insert(1, EventSpec(line=0, pre=parse("~t")))
+    steps = run_events(scenario, build_scene(scenario, Engine()))
+    _, scene = next(steps)
+    assert scene.state == {scene.structure.engine.variable(n) for n in ("p", "t")}
+    with pytest.raises(NotExecutable):
+        next(steps)
 
 
 def test_build_action_defaults_and_designated():

@@ -40,7 +40,6 @@ from symdel.symbolic import (
     Transformer,
     Translator,
     apply_event,
-    bool_translate,
     minimize,
     minimize_scene,
     scene_eval,
@@ -206,9 +205,7 @@ def test_pure_announcement_changes_nothing_factual():
     new_structure, copies, _ = transform_with_copies(structure, announce)
     assert copies == {}
     assert new_structure.vocabulary == (p,)
-    assert new_structure.law == structure.law & bool_translate(
-        structure, parse("[b] p")
-    )
+    assert new_structure.law == structure.law & structure.translator.fn(parse("[b] p"))
     # only b can truthfully learn p here, so the law collapses to p
     assert new_structure.law == fp
     assert new_structure.observations["a"] == structure.observations["a"]
@@ -512,9 +509,8 @@ def test_translator_rejects_event_variables_under_belief():
         return transform_with_copies(structure, transformer).structure.law
 
     assert law_after("x") == structure.law & engine.atom(x)
-    assert law_after("x & [a] p") == structure.law & engine.atom(x) & bool_translate(
-        structure, parse("[a] p")
-    )
+    box = structure.translator.fn(parse("[a] p"))
+    assert law_after("x & [a] p") == structure.law & engine.atom(x) & box
     with pytest.raises(CompileError):
         law_after("[a] x")
     with pytest.raises(CompileError):
@@ -525,9 +521,9 @@ def test_translator_error_cases():
     engine = Engine()
     scene = coin_start(engine)
     with pytest.raises(EvalError):
-        bool_translate(scene.structure, parse("[c] p"))
+        scene.structure.translator.fn(parse("[c] p"))
     with pytest.raises(CompileError):
-        bool_translate(scene.structure, parse("r"))
+        scene.structure.translator.fn(parse("r"))
     with pytest.raises(CompileError):
         scene_eval(scene, parse("r"))
     with pytest.raises(EvalError):
