@@ -7,7 +7,10 @@ One memoised if-then-else recursion (`Engine._ite`) is the only
 connective kernel: every connective and every substitution is one call
 of it.  One more memoised recursion (`Engine._quant`) quantifies a whole
 set of variables in one pass, joining the two quantified cofactors with
-if-then-else at each quantified level.
+if-then-else at each quantified level; `Engine._and_exists` does the
+same for a conjunction without building it (the relational product).
+`Engine._prime` moves a function to the primed copies of its variables
+by relabelling each node one level down.
 
 Each variable is a stem plus two decorations: a copy generation (0 for
 the live variable, n > 0 for the n-th frozen snapshot of it, printed
@@ -210,8 +213,8 @@ class Engine:
                 f, g = g, f  # f and g commute
         elif g is t and id(f) > id(h):
             f, h = h, f  # f or h commutes
-        # three ids: never equal to a restrict or quantifier key, which
-        # starts with a string
+        # three ids: never equal to the other recursions' keys, which
+        # start with a string
         key = (id(f), id(g), id(h))
         r = self._cache.get(key)
         if r is not None:
@@ -256,6 +259,52 @@ class Engine:
                 r = self._ite(lo, hi, self._false)
             else:
                 r = self._ite(lo, self._true, hi)
+            self._cache[key] = r
+        return r
+
+    def _and_exists(self, f, g, levels, last):
+        """Exists levels (f and g) in one pass, never building f and g:
+        the relational product (Burch, Clarke and Long, 1991), as in
+        CUDD's Cudd_bddAndAbstract.  levels and last as for _quant."""
+        t, e = self._true, self._false
+        if f is e or g is e:
+            return e
+        if f is t or f is g:
+            return self._quant(g, levels, last, False)
+        if g is t:
+            return self._quant(f, levels, last, False)
+        if f.level > last and g.level > last:
+            return self._ite(f, g, e)
+        if id(f) > id(g):
+            f, g = g, f  # the conjunction commutes
+        key = ("and_exists", id(f), id(g), levels)
+        r = self._cache.get(key)
+        if r is not None:
+            return r
+        lvl = f.level if f.level < g.level else g.level
+        f0, f1 = (f.lo, f.hi) if f.level == lvl else (f, f)
+        g0, g1 = (g.lo, g.hi) if g.level == lvl else (g, g)
+        # a false cofactor is common and needs no call
+        lo = e if f0 is e or g0 is e else self._and_exists(f0, g0, levels, last)
+        if lvl in levels and lo is t:
+            r = t  # the high cofactor cannot add to a true disjunction
+        else:
+            hi = e if f1 is e or g1 is e else self._and_exists(f1, g1, levels, last)
+            r = self._ite(lo, t, hi) if lvl in levels else self._mk(lvl, lo, hi)
+        self._cache[key] = r
+        return r
+
+    def _prime(self, u):
+        # A plain variable's primed copy sits at the next level and no
+        # other variable sits between them, so relabelling keeps the order.
+        if u.var is None:
+            return u
+        key = ("prime", id(u))
+        r = self._cache.get(key)
+        if r is None:
+            if u.var.primed:
+                raise BoolFnError(f"cannot prime {u.var.name}: it is already primed")
+            r = self._mk(u.level + 1, self._prime(u.lo), self._prime(u.hi))
             self._cache[key] = r
         return r
 
@@ -315,6 +364,22 @@ class Engine:
 
     def exists(self, f: "BoolFn", variables: Iterable[VarId]) -> BoolFn:
         return self._quantify(f, variables, False)
+
+    def and_exists(
+        self, f: "BoolFn", g: "BoolFn", variables: Iterable[VarId]
+    ) -> BoolFn:
+        """exists(f & g, variables), without building f & g."""
+        a, b = self._node_of(f), self._node_of(g)
+        levels = frozenset(self._check_var(v) for v in variables)
+        return BoolFn(self, self._and_exists(a, b, levels, max(levels, default=-1)))
+
+    def prime(self, f: "BoolFn") -> BoolFn:
+        """f with every variable replaced by its primed copy.
+
+        The same as rename to the primed copies, in one relabelling
+        pass; raises BoolFnError when f mentions a primed variable.
+        """
+        return BoolFn(self, self._prime(self._node_of(f)))
 
     def _quantify(self, f, variables, conj):
         node = self._node_of(f)

@@ -28,7 +28,7 @@ from .bridge import (
     run_suite,
     trf,
 )
-from .errors import SymdelError
+from .errors import ParseError, SymdelError
 from .explicit import format_model
 from .language import format_formula, recover_formula
 from .scenario import (
@@ -170,6 +170,8 @@ def run_translate(args) -> int:
             action, designated = build_action(scenario.action, scenario, engine)
             transformer, actual = trf(engine, action, designated)
             body = format_event_block(transformer, actual)
+        if scenario.checks:
+            _compile_checks(scenario)
     except SymdelError as error:
         print(f"{args.file}: {error}", file=sys.stderr)
         return 2
@@ -180,6 +182,28 @@ def run_translate(args) -> int:
     print()
     print(body)
     return 0
+
+
+def _compile_checks(scenario) -> None:
+    """Compile each CHECK against the structure it names, as check does,
+    so an undeclared atom or agent fails here too.
+
+    The structures are built in a fresh engine, so snapshot names match
+    the ones check gives; the events need not be executable.
+    """
+    engine = Engine()
+    structure = build_scene(scenario, engine).structure
+    structures = [structure]
+    for spec in scenario.events:
+        event = build_event(spec, structure, engine)
+        structure = transform_with_copies(structure, event.transformer).structure
+        structures.append(structure)
+    for spec in scenario.checks:
+        index = spec.after if spec.after is not None else len(scenario.events)
+        try:
+            structures[index].translator.fn(spec.formula)
+        except SymdelError as error:
+            raise ParseError(str(error), line=spec.line) from error
 
 
 def _print_instance(part: str, seed: int, bounds: Bounds) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .boolfun import BoolFn, Engine, VarId
@@ -26,63 +27,90 @@ from .errors import CompileError, ParseError
 
 
 class Formula:
-    """Base class for formula nodes; instances are immutable."""
+    """Base class for formula nodes; instances are immutable.
 
-    __slots__ = ()
+    A node computes its hash once, when it is built.  Its children are
+    built first, so that costs one tuple of their stored hashes and
+    never recurses.  Pickling and copying rebuild a node from its
+    fields, so the hash is computed afresh in the process that receives
+    it: string hashes differ between processes.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self._hash_key(self)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __str__(self):
         return format_formula(self)
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    # a frozen dataclass whose stored hash replaces the generated one;
+    # hashing the class too keeps And and Or (Implies and Iff) apart
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    cls._hash_key = attrgetter("__class__", *cls.__match_args__)
+    return cls
+
+
+@_node
 class Top(Formula):
     """The constant true."""
 
 
-@dataclass(frozen=True)
+@_node
 class Bot(Formula):
     """The constant false."""
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     parts: tuple[Formula, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
+        Formula.__post_init__(self)
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     parts: tuple[Formula, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
+        Formula.__post_init__(self)
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Box(Formula):
     agent: str
     body: Formula

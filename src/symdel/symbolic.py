@@ -95,7 +95,7 @@ class BeliefStructure:
     @cached_property
     def translator(self) -> "Translator":
         """The boolean translator for this structure, shared by every query
-        against it so the primed law is built once."""
+        against it so the primed law and each agent's relation are built once."""
         return Translator(self)
 
 
@@ -187,37 +187,54 @@ class Event:
 class Translator:
     """Boolean translation of formulas against one belief structure.
 
-    Boolean connectives map to function operations; a belief operator
-    for agent i translates as: for every primed valuation, the primed
-    law and i's observation function together force the primed
-    translation of the body.  Translations are cached per subformula.
+    Boolean connectives map to function operations.  A belief operator
+    for agent i translates as
+
+        K_i phi = ~ exists V' (law' & obs_i & ~phi')
+
+    no primed valuation satisfies the primed law and i's observation
+    function while falsifying the primed translation of the body.  The
+    relation law' & obs_i is built once per agent, on first use, and
+    each operator is one relational product (`Engine._and_exists`) over
+    the primed vocabulary.  Translations are cached per subformula.
     """
 
     def __init__(self, structure: BeliefStructure):
         # Not the structure itself, which caches its translator.
         self.observations = structure.observations
-        self.engine = structure.engine
+        self.engine = engine = structure.engine
         self.env = structure.env()
-        engine = self.engine
-        self._prime_map = {v: engine.primed(v) for v in structure.vocabulary}
-        self._primed_vars = list(self._prime_map.values())
-        self._law_primed = engine.rename(structure.law, self._prime_map)
+        # the primed vocabulary, which every belief operator quantifies
+        self._levels = frozenset(
+            engine.level(engine.primed(v)) for v in structure.vocabulary
+        )
+        self._last = max(self._levels, default=-1)
+        self._law_primed = engine._prime(structure.law.node)
+        self._relations = {}  # agent -> diagram node of law' & obs
         self._memo: dict[Formula, BoolFn] = {}
 
     def fn(self, formula: Formula) -> BoolFn:
         return compile_with(formula, self.env, self.engine, self._box, self._memo)
 
+    def _relation(self, agent: str):
+        rel = self._relations.get(agent)
+        if rel is None:
+            obs = self.observations.get(agent)
+            if obs is None:
+                raise EvalError(f"unknown agent: {agent}")
+            engine = self.engine
+            rel = engine._ite(self._law_primed, obs.node, engine._false)
+            self._relations[agent] = rel
+        return rel
+
     def _box(self, formula: Box) -> BoolFn:
-        body_fn = self.fn(formula.body)
-        obs = self.observations.get(formula.agent)
-        if obs is None:
-            raise EvalError(f"unknown agent: {formula.agent}")
+        body = self.fn(formula.body)
+        rel = self._relation(formula.agent)
         engine = self.engine
-        body_primed = engine.rename(body_fn, self._prime_map)
-        return engine.forall(
-            self._law_primed.implies(obs.implies(body_primed)),
-            self._primed_vars,
-        )
+        t, e = engine._true, engine._false
+        refuted = engine._ite(engine._prime(body.node), e, t)
+        witness = engine._and_exists(rel, refuted, self._levels, self._last)
+        return BoolFn(engine, engine._ite(witness, e, t))
 
 
 def scene_eval(scene: Scene, formula: Formula) -> bool:

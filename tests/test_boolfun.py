@@ -238,6 +238,54 @@ def test_quantifier_order_does_not_matter():
             assert engine.exists(f, subset) == some
 
 
+def test_and_exists_is_exists_of_the_conjunction():
+    """The relational product equals quantifying the built conjunction,
+    over up to six variables whose quantified levels interleave with
+    kept ones, for every number of quantified variables from none up."""
+    rng = random.Random("and_exists")
+    engine = Engine()
+    plain = [engine.variable(s) for s in "pqr"]
+    variables = [w for v in plain for w in (v, engine.primed(v))]
+    env = {v.name: v for v in variables}
+    names = list(env)
+    for _ in range(300):
+        used = rng.sample(names, rng.randint(1, 6))
+        f = compile_formula(random_boolean_formula(rng, used, 4), env, engine)
+        g = compile_formula(random_boolean_formula(rng, used, 4), env, engine)
+        vs = rng.sample(variables, rng.randint(0, 6))
+        assert engine.and_exists(f, g, vs) == engine.exists(f & g, vs)
+        assert engine.and_exists(f, f, vs) == engine.exists(f, vs)
+        assert engine.and_exists(engine.true, g, vs) == engine.exists(g, vs)
+        assert engine.and_exists(f, engine.false, vs).is_false
+
+
+def test_prime_is_rename_to_the_primed_copies():
+    rng = random.Random("prime")
+    engine = Engine()
+    plain = [engine.variable(s) for s in "pqr"]
+    # a snapshot allocated after r sits below it in the order
+    plain.append(engine.fresh_copy(plain[0]))
+    env = {v.name: v for v in plain}
+    names = list(env)
+    mapping = {v: engine.primed(v) for v in plain}
+    for _ in range(200):
+        f = compile_formula(random_boolean_formula(rng, names, 4), env, engine)
+        assert engine.prime(f) == engine.rename(f, mapping)
+    assert engine.prime(engine.true).is_true
+    assert engine.prime(engine.false).is_false
+
+
+def test_prime_rejects_a_primed_support():
+    engine = Engine()
+    p, q = engine.variable("p"), engine.variable("q")
+    for f in (
+        engine.atom(engine.primed(p)),
+        engine.atom(p) & engine.atom(engine.primed(q)),
+    ):
+        with pytest.raises(BoolFnError, match="already primed"):
+            engine.prime(f)
+
+
 def test_quantify_whole_support_gives_constant():
     engine = Engine()
     env = _env(engine, ["p", "q"])

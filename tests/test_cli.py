@@ -448,6 +448,43 @@ def test_translate_rejects_undeclared_names(tmp_path, capsys, target, block, nam
     assert err.rstrip().endswith(f": {name}")
 
 
+CHECK_HEAD = "AGENTS a\nVARS p\nLAW p\nSTATE p\nEVENT\nADDVARS x\nCHANGE p := x\nASSIGN x\n"
+
+
+@pytest.mark.parametrize(
+    "query, error",
+    [
+        ("z & [c] p", "unbound atom: z"),
+        ("[c] p", "unknown agent: c"),
+        ("after 0 x", "unbound atom: x"),
+    ],
+    ids=["atom", "agent", "event_variable_before_its_event"],
+)
+def test_translate_compiles_checks_as_check_does(tmp_path, capsys, query, error):
+    path = tmp_path / "checks.scn"
+    path.write_text(f"{CHECK_HEAD}CHECK {query}\n", encoding="utf-8")
+    for argv in (["check"], ["translate", "--to", "action"]):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (2, "", f"{path}: line 9: {error}\n"), argv
+    # the ACTION direction compiles the same CHECK against the same structure
+    action = "ACTION\nEVENTS e0\nDESIGNATED e0\n"
+    path.write_text(f"{CHECK_HEAD}{action}CHECK {query}\n", encoding="utf-8")
+    code, out, err = run(capsys, "translate", str(path), "--to", "transformer")
+    assert (code, out, err) == (2, "", f"{path}: line 12: {error}\n")
+
+
+def test_translate_accepts_checks_on_the_structure_they_name(tmp_path, capsys):
+    path = tmp_path / "checks.scn"
+    path.write_text(
+        f"{CHECK_HEAD}CHECK x & p° & [a] p\nCHECK after 0 [a] p\n", encoding="utf-8"
+    )
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 0, err
+    code, out, err = run(capsys, "translate", str(path), "--to", "action")
+    assert code == 0, err
+    assert out.startswith("AGENTS a\nVARS p\n\nACTION\n")
+
+
 # -- prove ---------------------------------------------------------------------------
 
 def test_prove_vacuous(capsys):

@@ -1,12 +1,18 @@
 """Formula syntax tests: parser, printer, substitutions, compiler."""
 
+import copy
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bf_truth, boolean_formulas, epistemic_formulas
+import symdel
 from symdel.boolfun import Engine
 from symdel.errors import CompileError, ParseError
 from symdel.language import (
@@ -135,6 +141,55 @@ def test_walkers_past_the_recursion_limit():
         parse("[a] r"),
         Atom("r"),
     ]
+
+
+def test_hash_is_stored_when_a_node_is_built():
+    phi = Box("a", Atom("p"))
+    for _ in range(20_000):
+        phi = Not(phi)
+    # a recursive hash would pass the recursion limit here
+    assert {phi: 1}[phi] == 1
+    same = parse("[a] (p & ~q) -> r | Top")
+    for twin in (copy.copy(same), copy.deepcopy(same), parse(format_formula(same))):
+        assert twin == same
+        assert hash(twin) == hash(same)
+
+
+PICKLED_TEXT = "[a] (p & ~q) -> r° | [b] Top"
+
+
+def _python(code: str, hash_seed: str, stdin: str = "") -> str:
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = hash_seed
+    env["PYTHONPATH"] = str(Path(symdel.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", code, PICKLED_TEXT],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_pickled_formula_is_found_under_another_hash_seed():
+    # string hashes differ between the two processes, so a stored hash
+    # carried by the pickle would miss the dict key
+    dump = (
+        "import pickle, sys\n"
+        "from symdel.language import parse\n"
+        "print(pickle.dumps(parse(sys.argv[1])).hex())\n"
+    )
+    load = (
+        "import pickle, sys\n"
+        "from symdel.language import parse\n"
+        "phi = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+        "table = {parse(sys.argv[1]): 'found'}\n"
+        "print(table.get(phi, 'missing'), hash(phi) == hash(parse(sys.argv[1])))\n"
+    )
+    data = _python(dump, "1")
+    assert _python(load, "2", stdin=data).split() == ["found", "True"]
 
 
 def test_map_atoms_and_substitute_parallel():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from conftest import epistemic_formulas, scene_eval_enum
 from test_node_counts import coin_flips, sally_anne
 from symdel.boolfun import Engine
-from symdel.bridge import generate_scene_event
+from symdel.bridge import formula_family, generate_scene, generate_scene_event
 from symdel.errors import (
     CompileError,
     EvalError,
@@ -29,6 +29,7 @@ from symdel.language import (
     Atom,
     agents_of,
     atoms_of,
+    compile_with,
     format_formula,
     parse,
 )
@@ -492,6 +493,40 @@ def test_shrink_of_a_false_law_drops_every_variable_outside_keep():
     assert reduced.vocabulary == (u,)
     assert reduced.law.is_false
     assert reduced.observations["a"] == engine.atom(u)
+
+
+# -- the belief operator against its first definition --------------------------
+
+class QuantifiedImplication:
+    """The paper's translation, spelled out with public engine calls:
+    K_i phi = forall V' (law' -> (obs_i -> phi'))."""
+
+    def __init__(self, structure: BeliefStructure):
+        self.structure = structure
+        engine = structure.engine
+        self.prime = {v: engine.primed(v) for v in structure.vocabulary}
+        self.law_primed = engine.rename(structure.law, self.prime)
+
+    def fn(self, formula):
+        structure = self.structure
+        return compile_with(formula, structure.env(), structure.engine, self.box)
+
+    def box(self, formula):
+        engine = self.structure.engine
+        body = engine.rename(self.fn(formula.body), self.prime)
+        obs = self.structure.observations[formula.agent]
+        return engine.forall(
+            self.law_primed.implies(obs.implies(body)), self.prime.values()
+        )
+
+
+def test_relational_product_matches_the_quantified_implication():
+    for seed in range(200):
+        structure = generate_scene(seed).structure
+        oracle = QuantifiedImplication(structure)
+        atoms = [v.name for v in structure.vocabulary]
+        for formula in formula_family(atoms, structure.agents, 2):
+            assert structure.translator.fn(formula) == oracle.fn(formula), (seed, formula)
 
 
 # -- translation guards -------------------------------------------------------
