@@ -5,10 +5,11 @@ shared node table per engine, so two functions built in the same engine
 denote the same boolean function exactly when they are the same object.
 One memoised if-then-else recursion (`Engine._ite`) is the only
 connective kernel: every connective and every substitution is one call
-of it.  One more memoised recursion (`Engine._quant`) quantifies a whole
-set of variables in one pass, joining the two quantified cofactors with
-if-then-else at each quantified level; `Engine._and_exists` does the
-same for a conjunction without building it (the relational product).
+of it.  One more memoised recursion (`Engine._and_exists`, the
+relational product) is the only quantifier: it quantifies a whole set
+of variables out of a conjunction without building the conjunction, so
+exists is the product with true, forall is its dual, and restricting a
+variable to a value quantifies it out of the product with that literal.
 `Engine._prime` moves a function to the primed copies of its variables
 by relabelling each node one level down.
 
@@ -153,9 +154,6 @@ class Engine:
             raise BoolFnError(f"{var.name} is already primed")
         return self._vars[lvl + 1]
 
-    def unprimed(self, var: VarId) -> VarId:
-        return self._vars[self._check_var(var) - var.primed]
-
     def level(self, var: VarId) -> int:
         """Position of var in the diagram order, fixed at allocation."""
         return self._check_var(var)
@@ -170,9 +168,6 @@ class Engine:
         return generations[var.copy] + var.primed
 
     # -- construction ---------------------------------------------------
-
-    def constant(self, value: bool) -> BoolFn:
-        return self.true if value else self.false
 
     def atom(self, var: VarId) -> BoolFn:
         """The function that is true exactly when var is true."""
@@ -227,52 +222,16 @@ class Engine:
         self._cache[key] = r
         return r
 
-    def _restrict(self, u, lvl, value):
-        if u.level > lvl:
-            return u  # lvl cannot occur below its own level
-        if u.level == lvl:
-            return u.hi if value else u.lo
-        key = ("restrict", id(u), lvl, value)
-        r = self._cache.get(key)
-        if r is None:
-            r = self._mk(
-                u.level,
-                self._restrict(u.lo, lvl, value),
-                self._restrict(u.hi, lvl, value),
-            )
-            self._cache[key] = r
-        return r
-
-    def _quant(self, u, levels, last, conj):
-        # levels is a frozenset with largest element last; nothing below
-        # last is quantified
-        if u.level > last:
-            return u
-        key = ("all" if conj else "any", id(u), levels)
-        r = self._cache.get(key)
-        if r is None:
-            lo = self._quant(u.lo, levels, last, conj)
-            hi = self._quant(u.hi, levels, last, conj)
-            if u.level not in levels:
-                r = self._mk(u.level, lo, hi)
-            elif conj:
-                r = self._ite(lo, hi, self._false)
-            else:
-                r = self._ite(lo, self._true, hi)
-            self._cache[key] = r
-        return r
-
     def _and_exists(self, f, g, levels, last):
         """Exists levels (f and g) in one pass, never building f and g:
         the relational product (Burch, Clarke and Long, 1991), as in
-        CUDD's Cudd_bddAndAbstract.  levels and last as for _quant."""
+        CUDD's Cudd_bddAndAbstract.  levels is a frozenset with largest
+        element last; nothing below last is quantified."""
         t, e = self._true, self._false
         if f is e or g is e:
             return e
         if f is t or f is g:
-            return self._quant(g, levels, last, False)
-        if g is t:
-            return self._quant(f, levels, last, False)
+            f, g = g, t  # one cache entry for f and f, true and f, f and true
         if f.level > last and g.level > last:
             return self._ite(f, g, e)
         if id(f) > id(g):
@@ -356,14 +315,18 @@ class Engine:
         return self.combine("or", list(args))
 
     def restrict(self, f: "BoolFn", var: VarId, value: bool) -> BoolFn:
+        """f with var fixed to value: exists var (f & the literal)."""
         lvl = self._check_var(var)
-        return BoolFn(self, self._restrict(self._node_of(f), lvl, bool(value)))
+        t, e = self._true, self._false
+        lit = self._mk(lvl, e, t) if value else self._mk(lvl, t, e)
+        node = self._and_exists(self._node_of(f), lit, frozenset((lvl,)), lvl)
+        return BoolFn(self, node)
 
     def forall(self, f: "BoolFn", variables: Iterable[VarId]) -> BoolFn:
-        return self._quantify(f, variables, True)
+        return ~self.exists(~f, variables)
 
     def exists(self, f: "BoolFn", variables: Iterable[VarId]) -> BoolFn:
-        return self._quantify(f, variables, False)
+        return self.and_exists(f, self.true, variables)
 
     def and_exists(
         self, f: "BoolFn", g: "BoolFn", variables: Iterable[VarId]
@@ -380,17 +343,6 @@ class Engine:
         pass; raises BoolFnError when f mentions a primed variable.
         """
         return BoolFn(self, self._prime(self._node_of(f)))
-
-    def _quantify(self, f, variables, conj):
-        node = self._node_of(f)
-        levels = frozenset(self._check_var(v) for v in variables)
-        if levels:
-            node = self._quant(node, levels, max(levels), conj)
-        return BoolFn(self, node)
-
-    def compose(self, f: "BoolFn", var: VarId, g: "BoolFn") -> BoolFn:
-        """Substitute the function g for the variable var in f."""
-        return self.compose_many(f, {var: g})
 
     def compose_many(self, f: "BoolFn", binding: Mapping[VarId, "BoolFn"]) -> BoolFn:
         """Simultaneous substitution of functions for variables."""
@@ -455,17 +407,8 @@ class Engine:
             node = node.hi if node.var in true_vars else node.lo
         return node is self._true
 
-    def is_tautology(self, f: "BoolFn") -> bool:
-        return self._node_of(f) is self._true
-
-    def is_unsatisfiable(self, f: "BoolFn") -> bool:
-        return self._node_of(f) is self._false
-
     def entails(self, f: "BoolFn", g: "BoolFn") -> bool:
         return self._ite(self._node_of(f), self._node_of(g), self._true) is self._true
-
-    def equivalent(self, f: "BoolFn", g: "BoolFn") -> bool:
-        return self._node_of(f) is self._node_of(g)
 
     def sat_assignments(
         self, f: "BoolFn", universe: Sequence[VarId]
@@ -497,38 +440,6 @@ class Engine:
             return tuple(v in s for v in uni)
 
         return sorted(out, key=key)
-
-    def count_sat(self, f: "BoolFn", universe: Sequence[VarId]) -> int:
-        """Number of satisfying subsets of universe."""
-        node = self._node_of(f)
-        given = list(universe)
-        levels = sorted({self._check_var(v) for v in given})
-        if len(levels) != len(given):
-            raise BoolFnError("universe contains a repeated variable")
-        if self._support(node) - set(levels):
-            raise BoolFnError("support outside the universe")
-        rank = {lvl: i for i, lvl in enumerate(levels)}
-        memo = {}
-
-        def walk(u, i):
-            if u is self._false:
-                return 0
-            if u.var is None:
-                return 2 ** (len(levels) - i)
-            key = (id(u), i)
-            r = memo.get(key)
-            if r is None:
-                j = rank[u.level]
-                r = 2 ** (j - i) * (walk(u.lo, j + 1) + walk(u.hi, j + 1))
-                memo[key] = r
-            return r
-
-        try:
-            return walk(node, 0)
-        finally:
-            # walk holds itself through its closure cell; emptying the
-            # cell frees it by reference counting, not by the cyclic collector
-            del walk
 
     def cubes(self, f: "BoolFn") -> list[list[tuple[VarId, bool]]]:
         """Paths to true, as (variable, polarity) lists in diagram order.

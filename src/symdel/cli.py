@@ -42,6 +42,11 @@ from .scenario import (
 )
 from .symbolic import Scene, scene_eval, transform_with_copies
 
+# translate --to action writes one event per assignment of the event
+# variables (and, without OBS+, a relation over all pairs of them):
+# 11 variables already print 168 MB
+MAX_ACTION_EVENT_VARS = 10
+
 
 def format_scene(scene: Scene, heading: str) -> str:
     data = _scene_json(scene)
@@ -154,8 +159,17 @@ def run_translate(args) -> int:
                     file=sys.stderr,
                 )
                 return 2
+            spec = scenario.events[0]
+            if len(spec.add) > MAX_ACTION_EVENT_VARS:
+                print(
+                    f"{args.file}: line {spec.line}: translate --to action would "
+                    f"expand {len(spec.add)} event variables into 2^{len(spec.add)} "
+                    f"events; at most {MAX_ACTION_EVENT_VARS} event variables are supported",
+                    file=sys.stderr,
+                )
+                return 2
             scene = build_scene(scenario, engine)
-            event = build_event(scenario.events[0], scene.structure, engine)
+            event = build_event(spec, scene.structure, engine)
             # reject what check rejects at step 1: unbound atoms, unknown agents
             transform_with_copies(scene.structure, event.transformer)
             action, designated = act(event)

@@ -182,31 +182,39 @@ def is_boolean(formula: Formula) -> bool:
     return not any(isinstance(phi, Box) for phi in subformulas(formula))
 
 
-def map_atoms(formula: Formula, fn: Callable[[str], Formula]) -> Formula:
-    """Rebuild the formula with every atom replaced by fn(name)."""
+def map_atoms(formula: Formula, fn: Callable[[Atom], Formula]) -> Formula:
+    """The formula with every atom node replaced by fn(atom).
+
+    A node none of whose children changes is returned itself, so only
+    the part above a changed atom is built anew.
+    """
 
     match formula:
-        case Atom(name):
-            return fn(name)
+        case Atom():
+            return fn(formula)
         case Not(body):
-            return Not(map_atoms(body, fn))
-        case And(parts):
-            return And(tuple(map_atoms(p, fn) for p in parts))
-        case Or(parts):
-            return Or(tuple(map_atoms(p, fn) for p in parts))
-        case Implies(a, b):
-            return Implies(map_atoms(a, fn), map_atoms(b, fn))
-        case Iff(a, b):
-            return Iff(map_atoms(a, fn), map_atoms(b, fn))
+            new = map_atoms(body, fn)
+            return formula if new is body else Not(new)
+        case And(parts) | Or(parts):
+            new = tuple(map_atoms(p, fn) for p in parts)
+            if all(a is b for a, b in zip(new, parts)):
+                return formula
+            return type(formula)(new)
+        case Implies(a, b) | Iff(a, b):
+            new_a, new_b = map_atoms(a, fn), map_atoms(b, fn)
+            if new_a is a and new_b is b:
+                return formula
+            return type(formula)(new_a, new_b)
         case Box(agent, body):
-            return Box(agent, map_atoms(body, fn))
+            new = map_atoms(body, fn)
+            return formula if new is body else Box(agent, new)
         case _:
             return formula
 
 
 def substitute(formula: Formula, binding: Mapping[str, Formula]) -> Formula:
     """Simultaneous substitution of formulas for atoms."""
-    return map_atoms(formula, lambda n: binding.get(n, Atom(n)))
+    return map_atoms(formula, lambda atom: binding.get(atom.name, atom))
 
 
 def subset_formula(present, universe) -> Formula:

@@ -338,10 +338,13 @@ def transform_with_copies(
     for v in transformer.modified:
         law_new &= engine.atom(v).iff(engine.rename(change_fns[v], copies))
 
-    observations_new = {}
-    for agent, obs in structure.observations.items():
-        moved = engine.rename(engine.rename(obs, copies), copies_primed)
-        observations_new[agent] = moved & transformer.event_obs[agent]
+    # the snapshots are fresh and distinct, so one simultaneous rename
+    # moves both sides
+    both = {**copies, **copies_primed}
+    observations_new = {
+        agent: engine.rename(obs, both) & transformer.event_obs[agent]
+        for agent, obs in structure.observations.items()
+    }
 
     vocab_new = (
         structure.vocabulary
@@ -373,34 +376,33 @@ def shrink(structure: BeliefStructure, keep: Iterable[VarId] = ()) -> BeliefStru
     The law fixes a variable exactly when that variable, or its
     negation, is one of the law's factors (`Engine.factors`), so one
     pass over the law finds them all; a false law fixes every variable.
-    The law and the observation functions are restricted to the fixed
-    values (observations on both the plain and the primed side).
+    The dropped literals conjoin to a cube; the law is restricted to it,
+    and each observation function to it and its primed copy, with one
+    relational product per function.
     """
     engine = structure.engine
     law = structure.law
     if law.is_false:
         # false entails both literals of every variable; take true
-        fixed = {v: True for v in structure.vocabulary}
+        literals = {v: engine.atom(v) for v in structure.vocabulary}
     else:
-        fixed = {}
+        literals = {}
         for g in engine.factors(law):
             support = g.support()
             if len(support) == 1:
                 (v,) = support
-                fixed[v] = g.holds((v,))
-    dropped = fixed.keys() - set(keep)
-    observations = dict(structure.observations)
-    for v in structure.vocabulary:
-        if v not in dropped:
-            continue
-        value = fixed[v]
-        law = engine.restrict(law, v, value)
-        vp = engine.primed(v)
-        observations = {
-            agent: engine.restrict(engine.restrict(obs, v, value), vp, value)
-            for agent, obs in observations.items()
-        }
-    vocab = tuple(v for v in structure.vocabulary if v not in dropped)
+                literals[v] = g
+    keep = set(keep)
+    dropped = [v for v in structure.vocabulary if v in literals and v not in keep]
+    cube = engine.conj(literals[v] for v in dropped)
+    law = engine.and_exists(law, cube, dropped)
+    both = dropped + [engine.primed(v) for v in dropped]
+    cube &= engine.prime(cube)
+    observations = {
+        agent: engine.and_exists(obs, cube, both)
+        for agent, obs in structure.observations.items()
+    }
+    vocab = tuple(v for v in structure.vocabulary if v not in literals or v in keep)
     return BeliefStructure(engine, vocab, law, observations)
 
 

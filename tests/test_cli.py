@@ -485,6 +485,35 @@ def test_translate_accepts_checks_on_the_structure_they_name(tmp_path, capsys):
     assert out.startswith("AGENTS a\nVARS p\n\nACTION\n")
 
 
+def _wide_event(tmp_path, count):
+    names = " ".join(f"x{i}" for i in range(count))
+    path = tmp_path / f"wide{count}.scn"
+    path.write_text(
+        f"AGENTS a\nVARS p\nLAW p\nSTATE p\nEVENT\nADDVARS {names}\n", encoding="utf-8"
+    )
+    return path
+
+
+def test_translate_to_action_rejects_too_many_event_variables(tmp_path, capsys):
+    # 2^40 events would exhaust memory; the count is refused before any is built
+    path = _wide_event(tmp_path, 40)
+    code, out, err = run(capsys, "translate", str(path), "--to", "action")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{path}: line 5: ")
+    assert "40 event variables" in err
+    assert f"at most {cli.MAX_ACTION_EVENT_VARS}" in err
+
+
+def test_translate_to_action_accepts_the_limit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_ACTION_EVENT_VARS", 2)
+    code, out, err = run(capsys, "translate", str(_wide_event(tmp_path, 2)), "--to", "action")
+    assert code == 0, err
+    assert "EVENTS {} {x0} {x1} {x0,x1}" in out
+    code, out, err = run(capsys, "translate", str(_wide_event(tmp_path, 3)), "--to", "action")
+    assert (code, out) == (2, "")
+    assert "3 event variables" in err
+
+
 # -- prove ---------------------------------------------------------------------------
 
 def test_prove_vacuous(capsys):

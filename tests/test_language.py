@@ -200,6 +200,17 @@ def test_map_atoms_and_substitute_parallel():
     assert substitute(boxed, {"p": BOT, "q": TOP}) == And((Box("a", BOT), TOP))
 
 
+def test_substitute_builds_only_what_changes():
+    phi = parse("[a] (p & ~q) | (r -> s) | (t <-> u)")
+    assert substitute(phi, {}) is phi
+    assert substitute(phi, {"zz": TOP}) is phi
+    changed = substitute(phi, {"p": TOP})
+    assert changed == parse("[a] (Top & ~q) | (r -> s) | (t <-> u)")
+    assert changed.parts[0].body.parts[1] is phi.parts[0].body.parts[1]
+    assert changed.parts[1] is phi.parts[1]
+    assert changed.parts[2] is phi.parts[2]
+
+
 def test_subset_formula_order_and_errors():
     assert subset_formula({"q"}, ["p", "q", "r"]) == parse("q & ~p & ~r")
     assert subset_formula(set(), ["p", "q"]) == parse("~p & ~q")
@@ -262,10 +273,9 @@ def test_substitution_then_compile_is_compose():
         via_formula = compile_formula(
             substitute(phi, {target: psi}), env, engine
         )
-        via_function = engine.compose(
+        via_function = engine.compose_many(
             compile_formula(phi, env, engine),
-            env[target],
-            compile_formula(psi, env, engine),
+            {env[target]: compile_formula(psi, env, engine)},
         )
         assert via_formula == via_function
 

@@ -382,7 +382,7 @@ def test_shrink_drops_exactly_the_determined_variables():
     # p° is fixed to true, and p and q are not fixed
     reduced = shrink(after.structure)
     assert reduced.vocabulary == (p, q)
-    assert reduced.law == engine.restrict(after.structure.law, pc, True)
+    assert reduced.law == engine.compose_many(after.structure.law, {pc: engine.true})
     direct = minimize(after.structure, keep=(p, q))
     assert reduced.law == direct.law
     assert reduced.observations == direct.observations
@@ -418,7 +418,10 @@ def test_shrink_decides_each_variable_once(monkeypatch):
 
 
 def reference_shrink(structure, keep=()):
-    """The per-variable shrink: up to two entailments per variable outside keep."""
+    """The per-variable shrink: up to two entailments per variable outside
+    keep, and each fixed variable replaced by its value through
+    compose_many, which shares no code with the relational product that
+    shrink runs on."""
     engine = structure.engine
     keep_set = set(keep)
     law = structure.law
@@ -434,10 +437,11 @@ def reference_shrink(structure, keep=()):
         else:
             keep_set.add(v)
             continue
-        law = engine.restrict(law, v, value)
-        vp = engine.primed(v)
+        const = engine.true if value else engine.false
+        law = engine.compose_many(law, {v: const})
+        both = {v: const, engine.primed(v): const}
         observations = {
-            agent: engine.restrict(engine.restrict(obs, v, value), vp, value)
+            agent: engine.compose_many(obs, both)
             for agent, obs in observations.items()
         }
     vocab = tuple(v for v in structure.vocabulary if v in keep_set)
@@ -662,7 +666,6 @@ def test_calls_leave_no_reference_cycles():
         "agents_of": lambda: agents_of(phi),
         "format_formula": lambda: format_formula(phi),
         "sat_assignments": lambda: engine.sat_assignments(watch, pair),
-        "count_sat": lambda: engine.count_sat(watch, pair),
         "cubes": lambda: engine.cubes(watch),
     }
     for name, call in calls.items():
