@@ -24,13 +24,17 @@ never reorders variables that already exist and every diagram built
 earlier stays valid.  Snapshots therefore sit below the event variables
 that were declared before them, which keeps the law of a chain of
 factual changes linear in the number of events.
+
+The unique table and the operation caches are keyed on the nodes
+themselves, never on their addresses, so an entry cannot be mistaken
+for a later node at a reused address.  Nothing frees nodes yet: both
+tables grow for the life of the engine.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import SymdelError
 
@@ -39,9 +43,11 @@ class BoolFnError(SymdelError):
     """Misuse of the boolean-function engine."""
 
 
-@dataclass(frozen=True)
-class VarId:
-    """One variable: a stem with copy and prime decorations."""
+class VarId(NamedTuple):
+    """One variable: a stem with copy and prime decorations.
+
+    A tuple, so hashing and comparing run in C; it equals the plain
+    tuple of its fields, which no engine accepts as a variable."""
 
     stem: str
     copy: int = 0
@@ -176,7 +182,7 @@ class Engine:
     def _mk(self, level, lo, hi):
         if lo is hi:
             return lo
-        key = (level, id(lo), id(hi))
+        key = (level, lo, hi)
         node = self._unique.get(key)
         if node is None:
             node = _Node(level, self._vars[level], lo, hi)
@@ -208,9 +214,9 @@ class Engine:
                 f, g = g, f  # f and g commute
         elif g is t and id(f) > id(h):
             f, h = h, f  # f or h commutes
-        # three ids: never equal to the other recursions' keys, which
+        # three nodes: never equal to the other recursions' keys, which
         # start with a string
-        key = (id(f), id(g), id(h))
+        key = (f, g, h)
         r = self._cache.get(key)
         if r is not None:
             return r
@@ -236,7 +242,7 @@ class Engine:
             return self._ite(f, g, e)
         if id(f) > id(g):
             f, g = g, f  # the conjunction commutes
-        key = ("and_exists", id(f), id(g), levels)
+        key = ("and_exists", f, g, levels)
         r = self._cache.get(key)
         if r is not None:
             return r
@@ -258,7 +264,7 @@ class Engine:
         # other variable sits between them, so relabelling keeps the order.
         if u.var is None:
             return u
-        key = ("prime", id(u))
+        key = ("prime", u)
         r = self._cache.get(key)
         if r is None:
             if u.var.primed:
@@ -271,7 +277,7 @@ class Engine:
         # subst maps levels to nodes.
         if u.var is None:
             return u
-        r = memo.get(id(u))
+        r = memo.get(u)
         if r is not None:
             return r
         lo = self._compose(u.lo, subst, memo)
@@ -280,7 +286,7 @@ class Engine:
         if g is None:
             g = self._mk(u.level, self._false, self._true)
         r = self._ite(g, hi, lo)
-        memo[id(u)] = r
+        memo[u] = r
         return r
 
     # -- public operations ------------------------------------------------
@@ -382,16 +388,16 @@ class Engine:
 
     def _nodes(self, node):
         """The distinct non-terminal nodes reachable from node."""
-        seen = {}
+        seen = set()
         stack = [node]
         while stack:
             u = stack.pop()
-            if u.var is None or id(u) in seen:
+            if u.var is None or u in seen:
                 continue
-            seen[id(u)] = u
+            seen.add(u)
             stack.append(u.lo)
             stack.append(u.hi)
-        return seen.values()
+        return seen
 
     def node_count(self, f: "BoolFn") -> int:
         """Number of distinct non-terminal nodes in f's diagram."""
@@ -473,35 +479,35 @@ class Engine:
         if root is self._false:
             return [f]
         # factors of each visited node, as a tuple ordered by level
-        memo = {id(self._true): ()}
+        memo = {self._true: ()}
         stack = [root]
         while stack:
             u = stack[-1]
-            if id(u) in memo:
+            if u in memo:
                 stack.pop()
                 continue
-            todo = [c for c in (u.lo, u.hi) if c is not self._false and id(c) not in memo]
+            todo = [c for c in (u.lo, u.hi) if c is not self._false and c not in memo]
             if todo:
                 stack.extend(todo)
                 continue
             stack.pop()
             if u.lo is self._false:
-                out = (self._mk(u.level, self._false, self._true),) + memo[id(u.hi)]
+                out = (self._mk(u.level, self._false, self._true),) + memo[u.hi]
             elif u.hi is self._false:
-                out = (self._mk(u.level, self._true, self._false),) + memo[id(u.lo)]
+                out = (self._mk(u.level, self._true, self._false),) + memo[u.lo]
             else:
-                lo, hi = memo[id(u.lo)], memo[id(u.hi)]
-                shared = {id(g) for g in lo} & {id(g) for g in hi}
+                lo, hi = memo[u.lo], memo[u.hi]
+                shared = set(lo) & set(hi)
                 rest = []
                 for side in (lo, hi):
                     acc = self._true
                     for g in side:
-                        if id(g) not in shared:
+                        if g not in shared:
                             acc = self._ite(acc, g, self._false)
                     rest.append(acc)
-                out = (self._mk(u.level, *rest),) + tuple(g for g in lo if id(g) in shared)
-            memo[id(u)] = out
-        return [BoolFn(self, g) for g in memo[id(root)]]
+                out = (self._mk(u.level, *rest),) + tuple(g for g in lo if g in shared)
+            memo[u] = out
+        return [BoolFn(self, g) for g in memo[root]]
 
 
 class BoolFn:
@@ -521,7 +527,7 @@ class BoolFn:
         )
 
     def __hash__(self):
-        return hash((id(self.engine), id(self.node)))
+        return hash((self.engine, self.node))
 
     def __and__(self, other):
         return self.engine.combine("and", [self, other])

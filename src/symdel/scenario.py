@@ -34,6 +34,12 @@ agent learns nothing), omitted REL to the empty relation, omitted
 STATE and ASSIGN to the empty set.  CHECK without `after` runs after
 the last event; N in `CHECK after N` must be at most the number of
 EVENT blocks.  EXPECT turns the query into a pass/fail assertion.
+
+Each keyword other than EVENT and CHECK may appear once per block (the
+top level counts as one), except that CHANGE, OBS, OBS+, REL,
+`PRE e:` and `POST e: v` may appear once per variable, agent or event
+they name.  Names in VARS, STATE, ADDVARS and ASSIGN are plain
+identifiers, with no `°`, `@o` or `'`.
 """
 
 from __future__ import annotations
@@ -64,18 +70,46 @@ from .symbolic import (
     shrink_scene,
 )
 
+# agent names, and the names CHANGE and POST assign
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*(?:(?:°|@o)[0-9]*)?'?"
+# the names VARS, STATE, ADDVARS and ASSIGN declare: no decorations
+_VAR = r"[A-Za-z_][A-Za-z0-9_]*"
 _EVENT_ID = r"[^\s:]+"
 
-_OBS_RE = re.compile(rf"^OBS\s+({_IDENT})\s*:\s*(.*)$")
-_OBS_PLUS_RE = re.compile(rf"^OBS\+\s+({_IDENT})\s*:\s*(.*)$")
-_CHANGE_RE = re.compile(rf"^CHANGE\s+({_IDENT})\s*:=\s*(.*)$")
-_PRE_ID_RE = re.compile(rf"^PRE\s+({_EVENT_ID})\s*:\s*(.*)$")
-_POST_RE = re.compile(rf"^POST\s+({_EVENT_ID})\s*:\s*({_IDENT})\s*:=\s*(.*)$")
-_REL_RE = re.compile(rf"^REL\s+({_IDENT})\s*:\s*(.*)$")
 _CHECK_RE = re.compile(
     r"^CHECK\s+(?:after\s+(\d+)\s+)?(.*?)(?:\s+EXPECT\s+(true|false))?$"
 )
+
+# The block each block keyword belongs in; every other keyword ends
+# the open block.
+_BLOCKS = {
+    "ADDVARS": ("EVENT",),
+    "CHANGE": ("EVENT",),
+    "OBS+": ("EVENT",),
+    "ASSIGN": ("EVENT",),
+    "EVENTS": ("ACTION",),
+    "POST": ("ACTION",),
+    "REL": ("ACTION",),
+    "DESIGNATED": ("ACTION",),
+    "PRE": ("EVENT", "ACTION"),
+}
+_TOP_LEVEL = ("AGENTS", "VARS", "LAW", "OBS", "STATE", "EVENT", "CHECK", "ACTION")
+
+# Keywords whose text names what they are given for, by keyword and the
+# block they are in: the pattern of that text and its form for errors.
+# The last group is the body; the others key the keyword's repeats.
+_NAMED = re.compile(rf"({_IDENT})\s*:\s*(.*)")
+_KEYED = {
+    ("OBS", None): (_NAMED, "<agent>: <formula>"),
+    ("OBS+", "EVENT"): (_NAMED, "<agent>: <formula>"),
+    ("REL", "ACTION"): (_NAMED, "<agent>: <id>-><id> ..."),
+    ("CHANGE", "EVENT"): (re.compile(rf"({_IDENT})\s*:=\s*(.*)"), "<var> := <formula>"),
+    ("PRE", "ACTION"): (re.compile(rf"({_EVENT_ID})\s*:\s*(.*)"), "<event>: <formula>"),
+    ("POST", "ACTION"): (
+        re.compile(rf"({_EVENT_ID})\s*:\s*({_IDENT})\s*:=\s*(.*)"),
+        "<event>: <var> := <formula>",
+    ),
+}
 
 
 @dataclass
@@ -118,10 +152,10 @@ class Scenario:
     action: ActionSpec | None = None
 
 
-def _names(rest: str, what: str, line: int) -> list[str]:
+def _names(rest: str, what: str, line: int, pattern: str = _VAR) -> list[str]:
     names = rest.split()
     for name in names:
-        if not re.fullmatch(_IDENT, name):
+        if not re.fullmatch(pattern, name):
             raise ParseError(f"bad {what} name: {name}", line=line)
     if len(set(names)) != len(names):
         raise ParseError(f"repeated {what} name", line=line)
@@ -137,8 +171,10 @@ def _formula(text: str, line: int) -> Formula:
 def parse_scenario(text: str) -> Scenario:
     """Parse the scenario text; raises ParseError with a line number."""
     scenario = Scenario()
-    seen: set[str] = set()
     block: EventSpec | ActionSpec | None = None
+    kind = None  # "EVENT" or "ACTION" while a block is open
+    top_given: set[tuple] = set()
+    given = top_given  # the (keyword, key) pairs of the open block
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -146,40 +182,50 @@ def parse_scenario(text: str) -> Scenario:
         word = line.split(None, 1)[0]
         rest = line[len(word):].strip()
 
-        if word in ("AGENTS", "VARS", "LAW", "OBS", "STATE", "EVENT", "CHECK", "ACTION"):
-            block = None
-        if word in ("AGENTS", "VARS", "LAW", "STATE"):
-            if word in seen:
-                raise ParseError(f"{word} given twice", line=lineno)
-            seen.add(word)
+        if word in _TOP_LEVEL:
+            block, kind, given = None, None, top_given
+        elif word not in _BLOCKS:
+            raise ParseError(f"unknown keyword: {word}", line=lineno)
+        elif kind not in _BLOCKS[word]:
+            where = " or ".join(_BLOCKS[word])
+            raise ParseError(f"{word} outside an {where} block", line=lineno)
+
+        key: tuple = ()
+        keyed = _KEYED.get((word, kind))
+        if keyed is not None:
+            pattern, form = keyed
+            m = pattern.fullmatch(rest)
+            if not m:
+                raise ParseError(f"expected {word} {form}", line=lineno)
+            *names, rest = m.groups()
+            key = tuple(names)
+        elif word in ("EVENT", "ACTION") and rest:
+            raise ParseError(f"unexpected text after {word}", line=lineno)
+
+        if word not in ("EVENT", "CHECK"):
+            if (word, key) in given:
+                if word == "ACTION":
+                    raise ParseError("a second ACTION block", line=lineno)
+                # POST's key is (event, variable): "for p of e"
+                whom = f" for {' of '.join(reversed(key))}" if key else ""
+                raise ParseError(f"{word} given twice{whom}", line=lineno)
+            given.add((word, key))
 
         if word == "AGENTS":
-            scenario.agents = _names(rest, "agent", lineno)
+            scenario.agents = _names(rest, "agent", lineno, _IDENT)
         elif word == "VARS":
             scenario.vars = _names(rest, "variable", lineno)
         elif word == "LAW":
             scenario.law = _formula(rest, lineno)
         elif word == "OBS":
-            m = _OBS_RE.match(line)
-            if not m:
-                raise ParseError("expected OBS <agent>: <formula>", line=lineno)
-            agent = m.group(1)
-            if agent in scenario.obs:
-                raise ParseError(f"OBS given twice for {agent}", line=lineno)
-            scenario.obs[agent] = _formula(m.group(2), lineno)
+            scenario.obs[key[0]] = _formula(rest, lineno)
         elif word == "STATE":
             scenario.state = _names(rest, "variable", lineno)
         elif word == "EVENT":
-            if rest:
-                raise ParseError("unexpected text after EVENT", line=lineno)
-            block = EventSpec(line=lineno)
+            block, kind, given = EventSpec(line=lineno), word, set()
             scenario.events.append(block)
         elif word == "ACTION":
-            if rest:
-                raise ParseError("unexpected text after ACTION", line=lineno)
-            if scenario.action is not None:
-                raise ParseError("a second ACTION block", line=lineno)
-            block = ActionSpec(line=lineno)
+            block, kind, given = ActionSpec(line=lineno), word, set()
             scenario.action = block
         elif word == "CHECK":
             m = _CHECK_RE.match(line)
@@ -195,95 +241,39 @@ def parse_scenario(text: str) -> Scenario:
                 CheckSpec(lineno, after, _formula(body, lineno), expect)
             )
         elif word == "ADDVARS":
-            if not isinstance(block, EventSpec):
-                raise ParseError("ADDVARS outside an EVENT block", line=lineno)
-            if block.add:
-                raise ParseError("ADDVARS given twice", line=lineno)
             block.add = _names(rest, "event variable", lineno)
+        elif word == "PRE" and kind == "EVENT":
+            block.pre = _formula(rest, lineno)
         elif word == "PRE":
-            if isinstance(block, EventSpec):
-                if block.pre is not TOP:
-                    raise ParseError("PRE given twice", line=lineno)
-                block.pre = _formula(rest, lineno)
-            elif isinstance(block, ActionSpec):
-                m = _PRE_ID_RE.match(line)
-                if not m:
-                    raise ParseError("expected PRE <event>: <formula>", line=lineno)
-                if m.group(1) in block.pre:
-                    raise ParseError(f"PRE given twice for {m.group(1)}", line=lineno)
-                block.pre[m.group(1)] = _formula(m.group(2), lineno)
-            else:
-                raise ParseError("PRE outside an EVENT or ACTION block", line=lineno)
+            block.pre[key[0]] = _formula(rest, lineno)
         elif word == "CHANGE":
-            if not isinstance(block, EventSpec):
-                raise ParseError("CHANGE outside an EVENT block", line=lineno)
-            m = _CHANGE_RE.match(line)
-            if not m:
-                raise ParseError("expected CHANGE <var> := <formula>", line=lineno)
-            if any(name == m.group(1) for name, _ in block.changes):
-                raise ParseError(f"CHANGE given twice for {m.group(1)}", line=lineno)
-            block.changes.append((m.group(1), _formula(m.group(2), lineno)))
+            block.changes.append((key[0], _formula(rest, lineno)))
         elif word == "OBS+":
-            if not isinstance(block, EventSpec):
-                raise ParseError("OBS+ outside an EVENT block", line=lineno)
-            m = _OBS_PLUS_RE.match(line)
-            if not m:
-                raise ParseError("expected OBS+ <agent>: <formula>", line=lineno)
-            if m.group(1) in block.obs:
-                raise ParseError(f"OBS+ given twice for {m.group(1)}", line=lineno)
-            block.obs[m.group(1)] = _formula(m.group(2), lineno)
+            block.obs[key[0]] = _formula(rest, lineno)
         elif word == "ASSIGN":
-            if not isinstance(block, EventSpec):
-                raise ParseError("ASSIGN outside an EVENT block", line=lineno)
             block.assign = _names(rest, "event variable", lineno)
         elif word == "EVENTS":
-            if not isinstance(block, ActionSpec):
-                raise ParseError("EVENTS outside an ACTION block", line=lineno)
-            if block.events:
-                raise ParseError("EVENTS given twice", line=lineno)
             block.events = rest.split()
             if not block.events:
                 raise ParseError("EVENTS needs at least one event", line=lineno)
             if len(set(block.events)) != len(block.events):
                 raise ParseError("repeated event identifier", line=lineno)
         elif word == "POST":
-            if not isinstance(block, ActionSpec):
-                raise ParseError("POST outside an ACTION block", line=lineno)
-            m = _POST_RE.match(line)
-            if not m:
-                raise ParseError("expected POST <event>: <var> := <formula>", line=lineno)
-            entries = block.post.setdefault(m.group(1), [])
-            if any(name == m.group(2) for name, _ in entries):
-                raise ParseError(
-                    f"POST given twice for {m.group(2)} of {m.group(1)}", line=lineno
-                )
-            entries.append((m.group(2), _formula(m.group(3), lineno)))
+            eid, name = key
+            block.post.setdefault(eid, []).append((name, _formula(rest, lineno)))
         elif word == "REL":
-            if not isinstance(block, ActionSpec):
-                raise ParseError("REL outside an ACTION block", line=lineno)
-            m = _REL_RE.match(line)
-            if not m:
-                raise ParseError("expected REL <agent>: <id>-><id> ...", line=lineno)
-            if m.group(1) in block.rel:
-                raise ParseError(f"REL given twice for {m.group(1)}", line=lineno)
             pairs = []
-            for chunk in m.group(2).split():
+            for chunk in rest.split():
                 halves = chunk.split("->")
                 if len(halves) != 2 or not halves[0] or not halves[1]:
                     raise ParseError(f"bad relation pair: {chunk}", line=lineno)
                 pairs.append((halves[0], halves[1]))
-            block.rel[m.group(1)] = pairs
-        elif word == "DESIGNATED":
-            if not isinstance(block, ActionSpec):
-                raise ParseError("DESIGNATED outside an ACTION block", line=lineno)
-            if block.designated is not None:
-                raise ParseError("DESIGNATED given twice", line=lineno)
+            block.rel[key[0]] = pairs
+        else:  # DESIGNATED
             parts = rest.split()
             if len(parts) != 1:
                 raise ParseError("DESIGNATED takes one event", line=lineno)
             block.designated = parts[0]
-        else:
-            raise ParseError(f"unknown keyword: {word}", line=lineno)
 
     _validate(scenario)
     return scenario

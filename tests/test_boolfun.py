@@ -412,6 +412,9 @@ def test_undeclared_snapshot_rejected():
         engine.atom(VarId("p", copy=5))
     with pytest.raises(BoolFnError):
         engine.atom(VarId("zzz"))
+    # a VarId equals the tuple of its fields, but only a VarId is a variable
+    with pytest.raises(BoolFnError):
+        engine.atom(("p", 0, False))
 
 
 def test_allocation_keeps_existing_functions_stable():

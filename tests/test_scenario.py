@@ -157,6 +157,22 @@ def test_parse_errors_carry_line_numbers():
     assert "line 1" in _error("CHECK p &")
     assert "line 2" in _error("VARS p\nLAW p & ")
     assert "line 1" in _error("VARS p 1q")
+    # a repeat is found by its keyword, not by the value it stored
+    assert _error("EVENT\nPRE Top\nPRE ~p") == "line 3: PRE given twice"
+    assert _error("EVENT\nADDVARS\nADDVARS x") == "line 3: ADDVARS given twice"
+    assert _error("EVENT\nADDVARS x\nASSIGN x\nASSIGN") == "line 4: ASSIGN given twice"
+    # variables carry no snapshot or prime decorations
+    assert _error("VARS p@o") == "line 1: bad variable name: p@o"
+    assert _error("VARS p'") == "line 1: bad variable name: p'"
+    assert _error("EVENT\nADDVARS x°") == "line 2: bad event variable name: x°"
+    assert _error("PRE p") == "line 1: PRE outside an EVENT or ACTION block"
+    assert _error("REL a: e->e") == "line 1: REL outside an ACTION block"
+    assert _error("POST e: p := q") == "line 1: POST outside an ACTION block"
+    assert _error("DESIGNATED e") == "line 1: DESIGNATED outside an ACTION block"
+    assert _error("OBS+ a: p") == "line 1: OBS+ outside an EVENT block"
+    assert _error("EVENT\nREL a: e->e") == "line 2: REL outside an ACTION block"
+    assert _error("ACTION\nCHANGE p := q") == "line 2: CHANGE outside an EVENT block"
+    assert _error("ACTION\nASSIGN x") == "line 2: ASSIGN outside an EVENT block"
 
 
 def test_validation_errors():
