@@ -3,11 +3,15 @@
 check runs a scenario file: it prints the initial structure, applies
 each event in order printing the structure after it, and evaluates the
 CHECK queries.  translate converts between the two update descriptions
-(an EVENT block into an ACTION block and back).  prove runs the seeded
-equivalence suites between the symbolic and the explicit pipeline.
+(an EVENT block into an ACTION block and back); for either target it
+checks every EVENT block and every CHECK as check does, except that the
+events need not be executable.  prove runs the seeded equivalence
+suites between the symbolic and the explicit pipeline.
 
 Exit codes: 0 success, 1 a failed CHECK expectation or a found
-counterexample, 2 bad input.
+counterexample, 2 bad input.  main alone turns bad input into exit 2:
+it prints an unreadable file's OSError as is, and a SymdelError as
+`FILE: [step N: ][line N: ]message`.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 from .boolfun import Engine
 from .bridge import (
@@ -40,7 +45,7 @@ from .scenario import (
     load_scenario,
     run_events,
 )
-from .symbolic import Scene, scene_eval, transform_with_copies
+from .symbolic import Event, Scene, scene_eval, transform_with_copies
 
 # translate --to action writes one event per assignment of the event
 # variables (and, without OBS+, a relation over all pairs of them):
@@ -69,35 +74,32 @@ def _scene_json(scene: Scene) -> dict:
     }
 
 
-def run_check(args) -> int:
+@contextmanager
+def _at_line(line: int):
+    """Report a SymdelError raised inside as a ParseError at `line`."""
     try:
-        scenario = load_scenario(args.file)
-        scene = build_scene(scenario, Engine())
-    except OSError as error:
-        print(error, file=sys.stderr)
-        return 2
+        yield
     except SymdelError as error:
-        print(f"{args.file}: {error}", file=sys.stderr)
-        return 2
+        raise ParseError(str(error), line=line) from error
 
+
+def run_check(args) -> int:
+    scenario = load_scenario(args.file)
+    scene = build_scene(scenario, Engine())
     scenes, events = [scene], []
     try:
         for event, after in run_events(scenario, scene, args.minimize):
             events.append(event)
             scenes.append(after)
     except SymdelError as error:
-        print(f"{args.file}: step {len(scenes)}: {error}", file=sys.stderr)
-        return 2
+        raise SymdelError(f"step {len(scenes)}: {error}") from error
 
     checks = []
     failed = False
     for spec in scenario.checks:
         index = spec.after if spec.after is not None else len(scenario.events)
-        try:
+        with _at_line(spec.line):
             value = scene_eval(scenes[index], spec.formula)
-        except SymdelError as error:
-            print(f"{args.file}: line {spec.line}: {error}", file=sys.stderr)
-            return 2
         ok = None if spec.expect is None else value == spec.expect
         if ok is False:
             failed = True
@@ -142,53 +144,27 @@ def run_check(args) -> int:
 
 
 def run_translate(args) -> int:
-    try:
-        scenario = load_scenario(args.file)
-    except OSError as error:
-        print(error, file=sys.stderr)
-        return 2
-    except SymdelError as error:
-        print(f"{args.file}: {error}", file=sys.stderr)
-        return 2
-    engine = Engine()
-    try:
-        if args.target == "action":
-            if len(scenario.events) != 1:
-                print(
-                    f"{args.file}: translate --to action needs exactly one EVENT block",
-                    file=sys.stderr,
-                )
-                return 2
-            spec = scenario.events[0]
-            if len(spec.add) > MAX_ACTION_EVENT_VARS:
-                print(
-                    f"{args.file}: line {spec.line}: translate --to action would "
-                    f"expand {len(spec.add)} event variables into 2^{len(spec.add)} "
-                    f"events; at most {MAX_ACTION_EVENT_VARS} event variables are supported",
-                    file=sys.stderr,
-                )
-                return 2
-            scene = build_scene(scenario, engine)
-            event = build_event(spec, scene.structure, engine)
-            # reject what check rejects at step 1: unbound atoms, unknown agents
-            transform_with_copies(scene.structure, event.transformer)
-            action, designated = act(event)
-            body = format_action_block(action, designated)
-        else:
-            if scenario.action is None:
-                print(
-                    f"{args.file}: translate --to transformer needs an ACTION block",
-                    file=sys.stderr,
-                )
-                return 2
-            action, designated = build_action(scenario.action, scenario, engine)
-            transformer, actual = trf(engine, action, designated)
-            body = format_event_block(transformer, actual)
-        if scenario.checks:
-            _compile_checks(scenario)
-    except SymdelError as error:
-        print(f"{args.file}: {error}", file=sys.stderr)
-        return 2
+    scenario = load_scenario(args.file)
+    if args.target == "action":
+        if len(scenario.events) != 1:
+            raise SymdelError("translate --to action needs exactly one EVENT block")
+        spec = scenario.events[0]
+        if len(spec.add) > MAX_ACTION_EVENT_VARS:
+            raise ParseError(
+                f"translate --to action would expand {len(spec.add)} event variables "
+                f"into 2^{len(spec.add)} events; at most {MAX_ACTION_EVENT_VARS} "
+                "event variables are supported",
+                line=spec.line,
+            )
+        (event,) = _compile_checks(scenario)
+        body = format_action_block(*act(event))
+    else:
+        if scenario.action is None:
+            raise SymdelError("translate --to transformer needs an ACTION block")
+        engine = Engine()
+        action, designated = build_action(scenario.action, scenario, engine)
+        body = format_event_block(*trf(engine, action, designated))
+        _compile_checks(scenario)
     if scenario.agents:
         print("AGENTS " + " ".join(scenario.agents))
     if scenario.vars:
@@ -198,26 +174,27 @@ def run_translate(args) -> int:
     return 0
 
 
-def _compile_checks(scenario) -> None:
-    """Compile each CHECK against the structure it names, as check does,
-    so an undeclared atom or agent fails here too.
+def _compile_checks(scenario) -> list[Event]:
+    """Build the scenario's structures and events as check does, and
+    compile each CHECK against the structure it names, so an EVENT block
+    or a CHECK that check rejects fails here too; returns the events.
 
     The structures are built in a fresh engine, so snapshot names match
     the ones check gives; the events need not be executable.
     """
     engine = Engine()
     structure = build_scene(scenario, engine).structure
-    structures = [structure]
+    structures, events = [structure], []
     for spec in scenario.events:
         event = build_event(spec, structure, engine)
         structure = transform_with_copies(structure, event.transformer).structure
         structures.append(structure)
+        events.append(event)
     for spec in scenario.checks:
         index = spec.after if spec.after is not None else len(scenario.events)
-        try:
+        with _at_line(spec.line):
             structures[index].translator.fn(spec.formula)
-        except SymdelError as error:
-            raise ParseError(str(error), line=spec.line) from error
+    return events
 
 
 def _print_instance(part: str, seed: int, bounds: Bounds) -> None:
@@ -305,6 +282,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
+    except OSError as error:
+        print(error, file=sys.stderr)
+    except SymdelError as error:
+        # prove reads no file
+        print(f"{getattr(args, 'file', args.command)}: {error}", file=sys.stderr)
     except RecursionError:
         # The parser, printer, translator and engine are recursive, so a
         # deeply nested formula or a very long conjunction exhausts the stack.
@@ -312,7 +294,7 @@ def main(argv=None) -> int:
             "error: input too deeply nested or too long for the recursion limit",
             file=sys.stderr,
         )
-        return 2
+    return 2
 
 
 if __name__ == "__main__":

@@ -112,6 +112,9 @@ _KEYED = {
 }
 
 
+# Each spec's `lines` maps every (keyword, key) pair given in it, keyed
+# as the repeat check keys them, to its line, so that errors found after
+# parsing can name the line at fault.
 @dataclass
 class EventSpec:
     line: int
@@ -120,6 +123,7 @@ class EventSpec:
     changes: list[tuple[str, Formula]] = field(default_factory=list)
     obs: dict[str, Formula] = field(default_factory=dict)
     assign: list[str] = field(default_factory=list)
+    lines: dict[tuple, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -130,6 +134,7 @@ class ActionSpec:
     post: dict[str, list[tuple[str, Formula]]] = field(default_factory=dict)
     rel: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
     designated: str | None = None
+    lines: dict[tuple, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -150,6 +155,7 @@ class Scenario:
     events: list[EventSpec] = field(default_factory=list)
     checks: list[CheckSpec] = field(default_factory=list)
     action: ActionSpec | None = None
+    lines: dict[tuple, int] = field(default_factory=dict)
 
 
 def _names(rest: str, what: str, line: int, pattern: str = _VAR) -> list[str]:
@@ -173,8 +179,7 @@ def parse_scenario(text: str) -> Scenario:
     scenario = Scenario()
     block: EventSpec | ActionSpec | None = None
     kind = None  # "EVENT" or "ACTION" while a block is open
-    top_given: set[tuple] = set()
-    given = top_given  # the (keyword, key) pairs of the open block
+    given = scenario.lines  # (keyword, key) -> line, for the open block
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -183,7 +188,7 @@ def parse_scenario(text: str) -> Scenario:
         rest = line[len(word):].strip()
 
         if word in _TOP_LEVEL:
-            block, kind, given = None, None, top_given
+            block, kind, given = None, None, scenario.lines
         elif word not in _BLOCKS:
             raise ParseError(f"unknown keyword: {word}", line=lineno)
         elif kind not in _BLOCKS[word]:
@@ -209,7 +214,7 @@ def parse_scenario(text: str) -> Scenario:
                 # POST's key is (event, variable): "for p of e"
                 whom = f" for {' of '.join(reversed(key))}" if key else ""
                 raise ParseError(f"{word} given twice{whom}", line=lineno)
-            given.add((word, key))
+            given[word, key] = lineno
 
         if word == "AGENTS":
             scenario.agents = _names(rest, "agent", lineno, _IDENT)
@@ -222,10 +227,12 @@ def parse_scenario(text: str) -> Scenario:
         elif word == "STATE":
             scenario.state = _names(rest, "variable", lineno)
         elif word == "EVENT":
-            block, kind, given = EventSpec(line=lineno), word, set()
+            block = EventSpec(line=lineno)
+            kind, given = word, block.lines
             scenario.events.append(block)
         elif word == "ACTION":
-            block, kind, given = ActionSpec(line=lineno), word, set()
+            block = ActionSpec(line=lineno)
+            kind, given = word, block.lines
             scenario.action = block
         elif word == "CHECK":
             m = _CHECK_RE.match(line)
@@ -279,26 +286,42 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
+def _line(lines: dict, fallback: int | None, word: str, *key: str) -> int | None:
+    """The first line that gives `word` with a key starting with `key`,
+    else `fallback`."""
+    return next(
+        (at for (w, k), at in lines.items() if w == word and k[: len(key)] == key),
+        fallback,
+    )
+
+
 def _validate(scenario: Scenario) -> None:
     agents = set(scenario.agents)
     declared = set(scenario.vars)
     for agent in scenario.obs:
         if agent not in agents:
-            raise ParseError(f"OBS for undeclared agent: {agent}")
+            raise ParseError(
+                f"OBS for undeclared agent: {agent}",
+                line=_line(scenario.lines, None, "OBS", agent),
+            )
     stray = set(scenario.state) - declared
     if stray:
-        raise ParseError(f"STATE uses undeclared variable: {sorted(stray)[0]}")
+        raise ParseError(
+            f"STATE uses undeclared variable: {sorted(stray)[0]}",
+            line=_line(scenario.lines, None, "STATE"),
+        )
     for spec in scenario.events:
         for agent in spec.obs:
             if agent not in agents:
                 raise ParseError(
-                    f"OBS+ for undeclared agent: {agent}", line=spec.line
+                    f"OBS+ for undeclared agent: {agent}",
+                    line=_line(spec.lines, spec.line, "OBS+", agent),
                 )
         assigned = set(spec.assign) - set(spec.add)
         if assigned:
             raise ParseError(
                 f"ASSIGN of undeclared event variable: {sorted(assigned)[0]}",
-                line=spec.line,
+                line=_line(spec.lines, spec.line, "ASSIGN"),
             )
     steps = len(scenario.events)
     for check in scenario.checks:
@@ -313,27 +336,34 @@ def _validate(scenario: Scenario) -> None:
             for eid in keys:
                 if eid not in ids:
                     raise ParseError(
-                        f"{what} for undeclared event: {eid}", line=action.line
+                        f"{what} for undeclared event: {eid}",
+                        line=_line(action.lines, action.line, what, eid),
                     )
         for agent, pairs in action.rel.items():
+            line = _line(action.lines, action.line, "REL", agent)
             if agent not in agents:
-                raise ParseError(
-                    f"REL for undeclared agent: {agent}", line=action.line
-                )
+                raise ParseError(f"REL for undeclared agent: {agent}", line=line)
             for a, b in pairs:
                 if a not in ids or b not in ids:
                     raise ParseError(
-                        f"REL pair uses undeclared event: {a}->{b}", line=action.line
+                        f"REL pair uses undeclared event: {a}->{b}", line=line
                     )
         if action.designated is not None and action.designated not in ids:
             raise ParseError(
-                f"DESIGNATED undeclared event: {action.designated}", line=action.line
+                f"DESIGNATED undeclared event: {action.designated}",
+                line=_line(action.lines, action.line, "DESIGNATED"),
             )
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+    """Read and parse a scenario file; text that is not UTF-8 is a ParseError."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise ParseError(f"not UTF-8: {error.reason} at byte {error.start}") from error
+    return parse_scenario(text)
 
 
 # -- building ------------------------------------------------------------------
@@ -373,7 +403,7 @@ def build_event(
         if var is None:
             raise ParseError(
                 f"CHANGE of a variable outside the vocabulary: {name}",
-                line=spec.line,
+                line=_line(spec.lines, spec.line, "CHANGE", name),
             )
         modified.append(var)
         changes[var] = phi
@@ -411,21 +441,26 @@ def build_action(
     A POST target, atom or agent outside VARS and AGENTS is a ParseError.
     """
     declared = set(scenario.vars)
-    formulas = list(spec.pre.values())
-    for entries in spec.post.values():
+    # each formula with the keyword and key that give it
+    formulas = [(("PRE", eid), phi) for eid, phi in spec.pre.items()]
+    for eid, entries in spec.post.items():
         for name, phi in entries:
             if name not in declared:
                 raise ParseError(
-                    f"POST of a variable outside the vocabulary: {name}", line=spec.line
+                    f"POST of a variable outside the vocabulary: {name}",
+                    line=_line(spec.lines, spec.line, "POST", eid, name),
                 )
-            formulas.append(phi)
-    for phi in formulas:
+            formulas.append((("POST", eid, name), phi))
+    for given, phi in formulas:
         for what, stray in (
             ("unbound atom", atoms_of(phi) - declared),
             ("unknown agent", agents_of(phi) - set(scenario.agents)),
         ):
             if stray:
-                raise ParseError(f"{what}: {', '.join(sorted(stray))}", line=spec.line)
+                raise ParseError(
+                    f"{what}: {', '.join(sorted(stray))}",
+                    line=_line(spec.lines, spec.line, *given),
+                )
     for name in scenario.vars:
         engine.variable(name)
     relations = {

@@ -84,10 +84,6 @@ class BeliefStructure:
         """Atom-name binding for compiling formulas over the vocabulary."""
         return {v.name: v for v in self.vocabulary}
 
-    def is_state(self, state: Iterable[VarId]) -> bool:
-        s = frozenset(state)
-        return s <= set(self.vocabulary) and self.law.holds(s)
-
     def states(self) -> list[State]:
         """All states, in binary counting order over the vocabulary."""
         return self.engine.sat_assignments(self.law, self.vocabulary)

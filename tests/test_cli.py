@@ -11,6 +11,7 @@ import pytest
 
 from symdel import cli
 from symdel.cli import main
+from symdel.errors import SymdelError
 from symdel.language import compile_formula, parse
 from test_node_counts import coin_flips, sally_anne
 
@@ -200,6 +201,18 @@ def test_check_missing_file(capsys):
     assert code == 2
     assert out == ""
     assert "no_such_file.scn" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["check"], ["translate", "--to", "action"]], ids=["check", "translate"]
+)
+def test_file_not_utf8(tmp_path, capsys, argv):
+    path = tmp_path / "utf16.scn"
+    path.write_bytes(b"\xff\xfe" + "AGENTS a\n".encode("utf-16-le"))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"{path}: not UTF-8: invalid start byte at byte 0\n"
+    assert "Traceback" not in err
 
 
 def test_check_parse_error(tmp_path, capsys):
@@ -415,6 +428,21 @@ def test_translate_action_to_transformer_golden(capsys):
     assert out == TO_TRANSFORMER_GOLDEN
 
 
+def test_translate_checks_event_blocks_for_both_targets(tmp_path, capsys):
+    # the EVENT block is malformed and no CHECK line is present
+    path = tmp_path / "bad_event.scn"
+    path.write_text(
+        "AGENTS a\nVARS p\nEVENT\nCHANGE z := p\nACTION\nEVENTS e\nDESIGNATED e\n",
+        encoding="utf-8",
+    )
+    error = "line 4: CHANGE of a variable outside the vocabulary: z\n"
+    for argv in (["translate", "--to", "transformer"], ["translate", "--to", "action"]):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (2, "", f"{path}: {error}"), argv
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", f"{path}: step 1: {error}")
+
+
 def test_translate_requires_matching_block(tmp_path, capsys):
     path = tmp_path / "plain.scn"
     path.write_text("AGENTS a\nVARS p\nLAW p\nSTATE p\n", encoding="utf-8")
@@ -529,6 +557,15 @@ def test_prove_small(capsys):
     for part in ("event", "action", "roundtrip"):
         assert f"part {part}: 10 instances, 0 failures" in out
     assert out.strip().endswith("all checks passed")
+
+
+def test_prove_error_names_the_command(capsys, monkeypatch):
+    # prove reads no file, so its errors cannot be prefixed with one
+    def fail(**_):
+        raise SymdelError("broken suite")
+
+    monkeypatch.setattr(cli, "run_suite", fail)
+    assert run(capsys, "prove", "--count", "1") == (2, "", "prove: broken suite\n")
 
 
 # -- entry point ----------------------------------------------------------------------

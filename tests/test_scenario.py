@@ -190,6 +190,31 @@ def test_validation_errors():
     # checked when the file is parsed, so a blocked step 1 cannot hide it
     blocked = "AGENTS a\nVARS p\nLAW p\nSTATE p\nEVENT\nPRE ~p\nCHECK after 3 p\n"
     assert _error(blocked) == "line 7: check after 3 outside 0..1"
+    # each error names the line of the keyword at fault, not its block's
+    for text, error in (
+        ("VARS p\nOBS a: p", "line 2: OBS for undeclared agent: a"),
+        ("VARS p\nSTATE q", "line 2: STATE uses undeclared variable: q"),
+        (
+            "AGENTS a\nEVENT\nADDVARS x\nOBS+ a: x\nOBS+ b: Top",
+            "line 5: OBS+ for undeclared agent: b",
+        ),
+        (
+            "EVENT\nADDVARS x\nPRE Top\nASSIGN y",
+            "line 4: ASSIGN of undeclared event variable: y",
+        ),
+        (
+            "ACTION\nEVENTS e\nPOST e: p := q\nPOST e: q := ~q\nPOST f: p := q",
+            "line 5: POST for undeclared event: f",
+        ),
+        ("ACTION\nEVENTS e\nPOST e: p := q\nPRE f: p", "line 4: PRE for undeclared event: f"),
+        ("ACTION\nEVENTS e\nPRE e: p\nREL a: e->e", "line 4: REL for undeclared agent: a"),
+        (
+            "AGENTS a\nACTION\nEVENTS e\nREL a: e->f",
+            "line 4: REL pair uses undeclared event: e->f",
+        ),
+        ("ACTION\nEVENTS e\nPRE e: p\nDESIGNATED f", "line 4: DESIGNATED undeclared event: f"),
+    ):
+        assert _error(text) == error, text
 
 
 def test_load_scenario(tmp_path):
@@ -227,6 +252,7 @@ def test_build_event_rejects_unknown_change_target():
     with pytest.raises(ParseError) as err:
         build_event(scenario.events[0], scene.structure, engine)
     assert "outside the vocabulary" in str(err.value)
+    assert str(err.value) == "line 6: CHANGE of a variable outside the vocabulary: z"
 
 
 def _vocabulary(scene) -> list[str]:
@@ -288,6 +314,18 @@ def test_build_action_defaults_and_designated():
         "a": frozenset({("e", "f")}),
         "b": frozenset(),
     }
+
+    # a stray name is reported at the line of its PRE or POST
+    head = "AGENTS a\nVARS p\nACTION\nEVENTS e f\nPRE f: p\n"
+    for body, error in (
+        ("POST e: p := Top\nPOST f: z := p\n", "line 7: POST of a variable outside the vocabulary: z"),
+        ("POST e: p := Top\nPOST f: p := y\n", "line 7: unbound atom: y"),
+        ("PRE e: [b] p\nPOST f: p := p\n", "line 6: unknown agent: b"),
+    ):
+        stray = parse_scenario(head + body + "DESIGNATED e\n")
+        with pytest.raises(ParseError) as err:
+            build_action(stray.action, stray, Engine())
+        assert str(err.value) == error, body
 
     missing = parse_scenario("AGENTS a\nVARS p\nACTION\nEVENTS e\n")
     with pytest.raises(ParseError) as err:

@@ -354,9 +354,7 @@ def test_states_and_membership():
     ]
     law = engine.atom(p)
     tight = BeliefStructure(engine, (p, q), law, {"a": engine.true})
-    assert tight.is_state({p})
-    assert not tight.is_state({q})
-    assert not tight.is_state({p, engine.variable("r")})
+    assert tight.states() == [frozenset({p}), frozenset({p, q})]
 
 
 # -- minimization -------------------------------------------------------------
