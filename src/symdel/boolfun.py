@@ -27,8 +27,13 @@ factual changes linear in the number of events.
 
 The unique table and the operation caches are keyed on the nodes
 themselves, never on their addresses, so an entry cannot be mistaken
-for a later node at a reused address.  Nothing frees nodes yet: both
-tables grow for the life of the engine.
+for a later node at a reused address.  Besides the recursions' entries,
+the operation cache holds two facts per root node that a caller asked
+for: its support (key "support") and its factor split (key "factors",
+or recorded by `drop_fixed`).  Only roots are cached, not the nodes
+below them, so each costs one walk of the diagram per root and one
+entry.  Nothing frees nodes yet: both tables, and so these entries,
+grow for the life of the engine.
 """
 
 from __future__ import annotations
@@ -98,7 +103,8 @@ class Engine:
         self._stems: dict[str, list[int]] = {}
         self._vars: list[VarId] = []
         self._unique: dict[tuple, _Node] = {}
-        self._cache: dict[tuple, _Node] = {}
+        # recursion results, and per-root supports and factor splits
+        self._cache: dict[tuple, object] = {}
         self._true = _Node(_TERMINAL, None, None, None)
         self._false = _Node(_TERMINAL, None, None, None)
 
@@ -342,6 +348,34 @@ class Engine:
         levels = frozenset(self._check_var(v) for v in variables)
         return BoolFn(self, self._and_exists(a, b, levels, max(levels, default=-1)))
 
+    def drop_fixed(self, f: "BoolFn", variables: Iterable[VarId]) -> BoolFn:
+        """exists variables f, for variables that f fixes: f with their
+        literal factors (`factors`) left out.
+
+        The result's factor split is f's without those literals, so it
+        is recorded for the result rather than derived again.  Raises
+        BoolFnError for a variable that f does not fix; false fixes
+        every variable and stays false.
+        """
+        root = self._node_of(f)
+        levels = frozenset(self._check_var(v) for v in variables)
+        if root is self._false:
+            return f
+        split = self._factors(root)
+        fixed = {g.level for g in split if g.lo.var is None and g.hi.var is None}
+        if not levels <= fixed:
+            names = ", ".join(sorted(self._vars[lvl].name for lvl in levels - fixed))
+            raise BoolFnError(f"not fixed by the function: {names}")
+        cube = self._true
+        for g in reversed(split):
+            if g.level in levels:
+                cube = self._ite(g, cube, self._false)
+        r = self._and_exists(root, cube, levels, max(levels, default=-1))
+        self._cache.setdefault(
+            ("factors", r), tuple(g for g in split if g.level not in levels)
+        )
+        return BoolFn(self, r)
+
     def prime(self, f: "BoolFn") -> BoolFn:
         """f with every variable replaced by its primed copy.
 
@@ -361,30 +395,42 @@ class Engine:
         """Substitute variables for variables.
 
         The mapping must be injective on the support of f and must not
-        map onto variables of the support that are kept fixed.
+        map onto variables of the support that are kept fixed.  A
+        mapping that moves no variable of the support returns f.
         """
         node = self._node_of(f)
         sup = self._support(node)
         live = {}
         for old, new in mapping.items():
             src, dst = self._check_var(old), self._check_var(new)
-            if src in sup and src != dst:
+            if old in sup and src != dst:
                 live[src] = dst
+        if not live:
+            return f
         targets = list(live.values())
         if len(set(targets)) != len(targets):
             raise BoolFnError("rename is not injective on the support")
-        clash = (sup - live.keys()) & set(targets)
+        clash = [
+            self._vars[dst].name
+            for dst in targets
+            if dst not in live and self._vars[dst] in sup
+        ]
         if clash:
-            names = ", ".join(sorted(self._vars[lvl].name for lvl in clash))
+            names = ", ".join(sorted(clash))
             raise BoolFnError(f"rename target collides with kept variable: {names}")
         subst = {src: self._mk(dst, self._false, self._true) for src, dst in live.items()}
         return BoolFn(self, self._compose(node, subst, {}))
 
     def support(self, f: "BoolFn") -> frozenset[VarId]:
-        return frozenset(self._vars[lvl] for lvl in self._support(self._node_of(f)))
+        return self._support(self._node_of(f))
 
-    def _support(self, node):
-        return {u.level for u in self._nodes(node)}
+    def _support(self, node) -> frozenset[VarId]:
+        """The variables node's diagram tests, cached per root."""
+        key = ("support", node)
+        r = self._cache.get(key)
+        if r is None:
+            r = self._cache[key] = frozenset(u.var for u in self._nodes(node))
+        return r
 
     def _nodes(self, node):
         """The distinct non-terminal nodes reachable from node."""
@@ -428,9 +474,9 @@ class Engine:
         levels = [self._check_var(v) for v in uni]
         if len(set(levels)) != len(levels):
             raise BoolFnError("universe contains a repeated variable")
-        missing = self._support(self._node_of(f)) - set(levels)
+        missing = self._support(self._node_of(f)) - set(uni)
         if missing:
-            names = ", ".join(sorted(self._vars[lvl].name for lvl in missing))
+            names = ", ".join(sorted(v.name for v in missing))
             raise BoolFnError(f"support outside the universe: {names}")
         out = []
         for cube in self.cubes(f):
@@ -475,9 +521,17 @@ class Engine:
         cofactors' other factors rejoin under x as one more.  Nodes are
         canonical, so shared factors are found by identity.
         """
-        root = self._node_of(f)
+        return [BoolFn(self, g) for g in self._factors(self._node_of(f))]
+
+    def _factors(self, root) -> tuple[_Node, ...]:
+        # The split is cached for the root only: a memo entry per node
+        # would keep nodes x factors tuples alive.
         if root is self._false:
-            return [f]
+            return (root,)
+        key = ("factors", root)
+        r = self._cache.get(key)
+        if r is not None:
+            return r
         # factors of each visited node, as a tuple ordered by level
         memo = {self._true: ()}
         stack = [root]
@@ -507,7 +561,8 @@ class Engine:
                     rest.append(acc)
                 out = (self._mk(u.level, *rest),) + tuple(g for g in lo if g in shared)
             memo[u] = out
-        return [BoolFn(self, g) for g in memo[root]]
+        r = self._cache[key] = memo[root]
+        return r
 
 
 class BoolFn:

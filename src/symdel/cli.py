@@ -53,21 +53,23 @@ from .symbolic import Event, Scene, scene_eval, transform_with_copies
 MAX_ACTION_EVENT_VARS = 10
 
 
-def format_scene(scene: Scene, heading: str) -> str:
-    data = _scene_json(scene)
+def format_scene(scene: Scene, heading: str, memo: dict | None = None) -> str:
+    data = _scene_json(scene, memo)
     lines = [heading, "  vars: " + " ".join(data["vars"]), "  law: " + data["law"]]
     lines.extend(f"  obs {agent}: {text}" for agent, text in data["obs"].items())
     lines.append("  state: {" + ",".join(data["state"]) + "}")
     return "\n".join(lines)
 
 
-def _scene_json(scene: Scene) -> dict:
+def _scene_json(scene: Scene, memo: dict | None = None) -> dict:
+    """The scene's fields as printed; memo is `recover_formula`'s, shared
+    by every scene of a run, where most factors recur unchanged."""
     structure = scene.structure
     return {
         "vars": [v.name for v in structure.vocabulary],
-        "law": format_formula(recover_formula(structure.law)),
+        "law": format_formula(recover_formula(structure.law, memo)),
         "obs": {
-            agent: format_formula(recover_formula(obs))
+            agent: format_formula(recover_formula(obs, memo))
             for agent, obs in structure.observations.items()
         },
         "state": [v.name for v in structure.vocabulary if v in scene.state],
@@ -96,6 +98,7 @@ def run_check(args) -> int:
 
     checks = []
     failed = False
+    memo = {}  # recovered formulas of the printed functions and their factors
     for spec in scenario.checks:
         index = spec.after if spec.after is not None else len(scenario.events)
         with _at_line(spec.line):
@@ -107,7 +110,7 @@ def run_check(args) -> int:
 
     if args.json:
         payload = {
-            "trace": [_scene_json(s) for s in scenes],
+            "trace": [_scene_json(s, memo) for s in scenes],
             "checks": [
                 {
                     "formula": format_formula(spec.formula),
@@ -123,13 +126,13 @@ def run_check(args) -> int:
         print(json.dumps(payload, indent=2))
         return 1 if failed else 0
 
-    print(format_scene(scenes[0], "initial"))
+    print(format_scene(scenes[0], "initial", memo))
     for number, (event, after) in enumerate(zip(events, scenes[1:]), start=1):
         if args.trace:
             print()
             print(format_event_block(event.transformer, event.actual))
         print()
-        print(format_scene(after, f"after event {number}"))
+        print(format_scene(after, f"after event {number}", memo))
     if checks:
         print()
     for spec, index, value, ok in checks:
@@ -154,7 +157,7 @@ def run_translate(args) -> int:
                 f"translate --to action would expand {len(spec.add)} event variables "
                 f"into 2^{len(spec.add)} events; at most {MAX_ACTION_EVENT_VARS} "
                 "event variables are supported",
-                line=spec.line,
+                line=spec.lines["ADDVARS", ()],
             )
         (event,) = _compile_checks(scenario)
         body = format_action_block(*act(event))

@@ -470,7 +470,7 @@ def compile_with(
         del go
 
 
-def recover_formula(fn: BoolFn) -> Formula:
+def recover_formula(fn: BoolFn, memo: dict[BoolFn, Formula] | None = None) -> Formula:
     """A readable formula denoting fn, for display purposes.
 
     fn is printed as the conjunction of its factors (`Engine.factors`),
@@ -478,8 +478,24 @@ def recover_formula(fn: BoolFn) -> Formula:
     diagram rather than with its paths.  A factor over one variable is
     a literal, a two-variable equivalence prints as one, and any other
     factor as the disjunction of its diagram's paths to true.
+
+    With a memo, fn and each of its factors are looked up there first
+    and stored after, so a function or factor recovered before costs
+    one lookup.  A factor is its own only factor, so both kinds of
+    entry agree where they meet.
     """
-    return conj(_recover_factor(g) for g in fn.engine.factors(fn))
+    if memo is None:
+        memo = {}
+    out = memo.get(fn)
+    if out is None:
+        parts = []
+        for g in fn.engine.factors(fn):
+            part = memo.get(g)
+            if part is None:
+                part = memo[g] = _recover_factor(g)
+            parts.append(part)
+        out = memo[fn] = conj(parts)
+    return out
 
 
 def _recover_factor(fn: BoolFn) -> Formula:

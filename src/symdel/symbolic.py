@@ -372,9 +372,10 @@ def shrink(structure: BeliefStructure, keep: Iterable[VarId] = ()) -> BeliefStru
     The law fixes a variable exactly when that variable, or its
     negation, is one of the law's factors (`Engine.factors`), so one
     pass over the law finds them all; a false law fixes every variable.
-    The dropped literals conjoin to a cube; the law is restricted to it,
-    and each observation function to it and its primed copy, with one
-    relational product per function.
+    The law leaves the dropped literals out (`Engine.drop_fixed`, which
+    hands the engine the new law's factors as well).  The literals
+    conjoin to a cube, and each observation function is restricted to
+    it and its primed copy, with one relational product per function.
     """
     engine = structure.engine
     law = structure.law
@@ -390,8 +391,8 @@ def shrink(structure: BeliefStructure, keep: Iterable[VarId] = ()) -> BeliefStru
                 literals[v] = g
     keep = set(keep)
     dropped = [v for v in structure.vocabulary if v in literals and v not in keep]
+    law = engine.drop_fixed(law, dropped)
     cube = engine.conj(literals[v] for v in dropped)
-    law = engine.and_exists(law, cube, dropped)
     both = dropped + [engine.primed(v) for v in dropped]
     cube &= engine.prime(cube)
     observations = {

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import bf_truth, boolean_formulas, random_boolean_formula, truth_table
 from symdel.boolfun import BoolFnError, Engine, VarId
-from symdel.language import compile_formula, parse
+from symdel.language import And, Atom, Not, compile_formula, parse
 
 
 def _env(engine, names):
@@ -161,6 +161,23 @@ def test_rename_coin_update_left_conjunct():
     pc = engine.fresh_copy(p)
     law_and_event = engine.atom(p) & engine.true
     assert engine.rename(law_and_event, {p: pc}) == engine.atom(pc)
+
+
+def test_rename_outside_the_support_returns_f():
+    """A mapping that moves no variable of the support returns f itself
+    and builds nothing: not even the atoms of the support's variables,
+    which a rebuild of f would make."""
+    engine = Engine()
+    p, q, r, s = (engine.variable(name) for name in "pqrs")
+    # primed negative literals only: the atoms of p' and q' are not built
+    f = engine.prime(~engine.atom(p) & ~engine.atom(q))
+    size = len(engine._unique)
+    for mapping in ({}, {r: s}, {p: q, r: s}, {engine.primed(p): engine.primed(p)}):
+        out = engine.rename(f, mapping)
+        assert out == f and out.node is f.node
+        assert len(engine._unique) == size
+    with pytest.raises(BoolFnError):
+        engine.rename(f, {VarId("z"): r})
 
 
 def test_compose_matches_assignment_oracle():
@@ -564,3 +581,104 @@ def test_factors_fixed_cases():
     chain = fn("(p°2 <-> q1) & (p°3 <-> q2) & (p <-> q3)")
     assert engine.factors(chain) == [fn("p <-> q3"), fn("q1 <-> p°2"), fn("q2 <-> p°3")]
     assert engine.factors(fn("~p & (q1 | q2) & q3")) == [fn("~p"), fn("q1 | q2"), fn("q3")]
+
+
+def _facts(engine, fn):
+    """fn's support and factor split, by name, comparable across engines."""
+    return (
+        sorted(v.name for v in fn.support()),
+        [[[(v.name, value) for v, value in cube] for cube in engine.cubes(g)]
+         for g in engine.factors(fn)],
+    )
+
+
+def test_cached_support_and_factors_match_a_fresh_engine():
+    """support and factors are cached per root, and drop_fixed records
+    its result's split.  Asked again in any order after other operations
+    have filled the caches, they give what a fresh engine computes once."""
+    rng = random.Random("cached-facts")
+    names = [f"v{i}" for i in range(6)]
+    engine = Engine()
+    env = _env(engine, names)
+    asked = []  # (function, how a fresh engine rebuilds it)
+    for _ in range(80):
+        formula = random_boolean_formula(rng, rng.sample(names, rng.randint(1, 6)), 4)
+        for name in rng.sample(names, rng.randint(0, 2)):
+            formula = And((formula, Atom(name) if rng.random() < 0.5 else Not(Atom(name))))
+        fn = compile_formula(formula, env, engine)
+        first = _facts(engine, fn)
+        others = [f for f, _ in asked[-3:]]
+        engine.exists(fn, rng.sample(list(env.values()), 2))
+        engine.conj([fn, *others])
+        engine.prime(fn)
+        assert _facts(engine, fn) == first
+        asked.append((fn, (formula, ())))
+        fixed = [
+            v for g in engine.factors(fn) if len(g.support()) == 1 for v in g.support()
+        ]
+        if fixed and not fn.is_false:
+            drop = rng.sample(fixed, rng.randint(1, len(fixed)))
+            asked.append((engine.drop_fixed(fn, drop), (formula, tuple(v.name for v in drop))))
+    rng.shuffle(asked)
+    for fn, (formula, drop) in asked * 2:
+        fresh = Engine()
+        fresh_env = _env(fresh, names)
+        want = fresh.exists(
+            compile_formula(formula, fresh_env, fresh), [fresh_env[n] for n in drop]
+        )
+        assert _facts(engine, fn) == _facts(fresh, want)
+
+
+def test_factors_and_drop_fixed_match_truth_tables():
+    """The factors conjoin to f and have pairwise disjoint supports, and
+    drop_fixed is exists over fixed variables, all read off truth tables
+    with holds on every assignment.  Plain and primed levels interleave."""
+    rng = random.Random("factor-tables")
+    engine = Engine()
+    plain = [engine.variable(s) for s in "pqr"]
+    variables = [w for v in plain for w in (v, engine.primed(v))]
+    env = {v.name: v for v in variables}
+    rows = [
+        frozenset(v for j, v in enumerate(variables) if k >> j & 1)
+        for k in range(2 ** len(variables))
+    ]
+
+    def table_of(fn):
+        return {row: fn.holds(row) for row in rows}
+
+    def depends(table, v):
+        return any(table[row] != table[row ^ {v}] for row in rows)
+
+    for _ in range(150):
+        fn = compile_formula(
+            random_boolean_formula(rng, rng.sample(list(env), rng.randint(1, 6)), 4),
+            env,
+            engine,
+        )
+        for v in rng.sample(variables, rng.randint(0, 2)):
+            fn &= engine.atom(v) if rng.random() < 0.5 else ~engine.atom(v)
+        table = table_of(fn)
+        parts = engine.factors(fn)
+        tables = [table_of(g) for g in parts]
+        assert all(table[row] == all(t[row] for t in tables) for row in rows)
+        supports = [frozenset(v for v in variables if depends(t, v)) for t in tables]
+        assert supports == [g.support() for g in parts]
+        assert sum(len(s) for s in supports) == len(frozenset().union(*supports))
+        assert fn.support() == frozenset().union(*supports)
+        if fn.is_false:
+            assert engine.drop_fixed(fn, variables).is_false
+            continue
+        fixed = [v for s in supports if len(s) == 1 for v in s]
+        drop = rng.sample(fixed, rng.randint(0, len(fixed)))
+        dropped = engine.drop_fixed(fn, drop)
+        want = table
+        for v in drop:
+            want = {row: want[row - {v}] or want[row | {v}] for row in rows}
+        assert table_of(dropped) == want
+        assert engine.factors(dropped) == [
+            g for g, s in zip(parts, supports) if not s & set(drop)
+        ]
+        loose = [v for v in variables if v not in fixed]
+        if loose:
+            with pytest.raises(BoolFnError, match="not fixed"):
+                engine.drop_fixed(fn, [rng.choice(loose)])

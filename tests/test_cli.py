@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from symdel import cli
+from symdel import cli, language
 from symdel.cli import main
 from symdel.errors import SymdelError
 from symdel.language import compile_formula, parse
@@ -360,9 +360,9 @@ def test_printed_laws_and_observations_compile_back(tmp_path, capsys, monkeypatc
     scenes = []
     real = cli._scene_json
 
-    def spy(scene):
+    def spy(scene, *args):
         scenes.append(scene)
-        return real(scene)
+        return real(scene, *args)
 
     monkeypatch.setattr(cli, "_scene_json", spy)
     path = tmp_path / f"{name}.scn"
@@ -377,6 +377,43 @@ def test_printed_laws_and_observations_compile_back(tmp_path, capsys, monkeypatc
         assert list(printed["obs"]) == list(structure.observations)
         for agent, obs in structure.observations.items():
             _assert_prints(obs, printed["obs"][agent], structure.vocabulary)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("minimize", [[], ["--minimize"]], ids=["full", "minimize"])
+def test_check_recovers_each_factor_once(tmp_path, capsys, monkeypatch, minimize, json_flag):
+    """The printer's memo lasts the whole run: each distinct factor of
+    the printed laws and observations is recovered once, though most
+    recur unchanged from one scene to the next."""
+    scenes, recovered = [], []
+    real_scene, real_factor = cli._scene_json, language._recover_factor
+
+    def scene_spy(scene, *args):
+        scenes.append(scene)
+        return real_scene(scene, *args)
+
+    def factor_spy(fn):
+        recovered.append(fn)
+        return real_factor(fn)
+
+    monkeypatch.setattr(cli, "_scene_json", scene_spy)
+    monkeypatch.setattr(language, "_recover_factor", factor_spy)
+    path = tmp_path / "sally_anne_10.scn"
+    path.write_text(sally_anne(10), encoding="utf-8")
+    code, _, _ = run(capsys, "check", str(path), *minimize, *json_flag)
+    assert code == 0
+    assert len(scenes) == 41
+    structures = [scene.structure for scene in scenes]
+    engine = structures[0].engine
+    factors = [
+        g
+        for s in structures
+        for fn in (s.law, *s.observations.values())
+        for g in engine.factors(fn)
+    ]
+    assert len(recovered) == len(set(recovered))
+    assert set(recovered) == set(factors)
+    assert len(factors) > 3 * len(recovered)
 
 
 def test_printed_event_observations_compile_back(capsys, monkeypatch):
@@ -527,7 +564,8 @@ def test_translate_to_action_rejects_too_many_event_variables(tmp_path, capsys):
     path = _wide_event(tmp_path, 40)
     code, out, err = run(capsys, "translate", str(path), "--to", "action")
     assert (code, out) == (2, "")
-    assert err.startswith(f"{path}: line 5: ")
+    # the ADDVARS line that lists them, not the EVENT line above it
+    assert err.startswith(f"{path}: line 6: ")
     assert "40 event variables" in err
     assert f"at most {cli.MAX_ACTION_EVENT_VARS}" in err
 
