@@ -7,7 +7,9 @@ Both directions, and the morphism check, use the coding functions of
 explicit.py (binary_code, relation_of, observation_of).
 The harness generates random instances of both kinds and checks that
 the symbolic and the explicit pipeline agree formula by formula, along
-with the world-to-state morphism conditions that drive the agreement.
+with the world-to-state morphism conditions that drive the agreement;
+on random scenes it also checks the boolean translation against the
+Kripke model and minimization against the unminimized structure.
 SUITE_PARTS is the one table of its parts, each generating, checking
 and sizing the instance of a seed; run_suite, `symdel prove` and the
 sweep script all read it.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .boolfun import Engine, VarId
@@ -404,12 +407,23 @@ def generate_model_action(
 
 # -- formula family ------------------------------------------------------------
 
+# How many batteries formula_family keeps.  The suite asks for a few
+# (atoms, agents, depth) over and over: Bounds() allows 4 x 2 of them.
+_FAMILIES = 64
+
+
 def formula_family(
     atoms: Sequence[str], agents: Sequence[str], depth: int = 2
 ) -> list[Formula]:
     """Deterministic formula battery: small boolean leaves (at most two
     atoms each) under all nestings of belief operators and their
-    negations up to the given modal depth."""
+    negations up to the given modal depth.  Each call returns a fresh
+    list of shared (immutable) formula nodes."""
+    return list(_family(tuple(atoms), tuple(agents), depth))
+
+
+@lru_cache(maxsize=_FAMILIES)
+def _family(atoms: tuple[str, ...], agents: tuple[str, ...], depth: int) -> tuple[Formula, ...]:
     leaves: list[Formula] = [TOP]
     for p in atoms:
         leaves.append(Atom(p))
@@ -429,7 +443,7 @@ def formula_family(
                 layer.append(Not(boxed))
         family.extend(layer)
         frontier = layer
-    return list(dict.fromkeys(family))
+    return tuple(dict.fromkeys(family))
 
 
 # -- instance checks -------------------------------------------------------------
@@ -635,8 +649,27 @@ def _roundtrip_part(seed: int, bounds: Bounds, depth: int) -> tuple[str | None, 
     return check_roundtrip(pointed, action, designated, depth), size
 
 
+def _translation_part(seed: int, bounds: Bounds, depth: int) -> tuple[str | None, int]:
+    scene = generate_scene(seed, bounds)
+    formulas = generate_formulas(seed, scene.structure)
+    return check_translation(scene, formulas), len(scene.structure.vocabulary)
+
+
+def _minimization_part(seed: int, bounds: Bounds, depth: int) -> tuple[str | None, int]:
+    # check_minimization draws the scene itself; drawing it again for
+    # its size costs about a fifteenth of the check
+    size = len(generate_scene(seed, bounds).structure.vocabulary)
+    return check_minimization(seed, bounds, depth), size
+
+
 # The parts of the equivalence suite, in the order run_suite runs them.
-SUITE_PARTS = {"event": _event_part, "action": _action_part, "roundtrip": _roundtrip_part}
+SUITE_PARTS = {
+    "event": _event_part,
+    "action": _action_part,
+    "roundtrip": _roundtrip_part,
+    "translation": _translation_part,
+    "minimization": _minimization_part,
+}
 
 
 @dataclass

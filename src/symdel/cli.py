@@ -29,6 +29,7 @@ from .bridge import (
     SuiteReport,
     act,
     generate_model_action,
+    generate_scene,
     generate_scene_event,
     run_suite,
     trf,
@@ -205,6 +206,8 @@ def _print_instance(part: str, seed: int, bounds: Bounds) -> None:
         scene, event = generate_scene_event(seed, bounds)
         print(format_scene(scene, "scene"))
         print(format_event_block(event.transformer, event.actual))
+    elif part in ("translation", "minimization"):
+        print(format_scene(generate_scene(seed, bounds), "scene"))
     else:
         pointed, action, designated = generate_model_action(seed, bounds)
         print(format_model(pointed.model, pointed.point))

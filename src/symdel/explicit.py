@@ -5,7 +5,10 @@ use frozensets of atom names (worlds named by their valuations) and
 (world, event) pairs, and the formatting helpers know how to render
 those deterministically.  GlobalEvaluator is the one explicit evaluator
 of the Kripke semantics: product update, the equivalence harness and
-the benchmark all ask it for truth at a world.
+the benchmark all ask it for truth at a world.  It indexes the worlds
+once and holds each extension as an int bitmask over that index, so
+connectives are bitwise operations and a belief operator tests one
+successor mask per world.
 
 binary_code, relation_of and observation_of are the one coding between
 explicit points and symbolic states: which variables name a point, and
@@ -103,60 +106,79 @@ class PointedModel:
 
 
 class GlobalEvaluator:
-    """Extension sets for many formulas against one model, memoized."""
+    """Extension sets for many formulas against one model, memoized.
+
+    World k is the k-th of `model.worlds`, and an extension is an int
+    whose bit k is set when the formula holds at world k.  Each agent
+    has one successor mask per world, so [i]phi holds at the worlds
+    whose successor mask misses the complement of phi's mask.
+    """
 
     def __init__(self, model: KripkeModel):
         self.model = model
+        self._index = {w: k for k, w in enumerate(model.worlds)}
+        self._all = (1 << len(model.worlds)) - 1
         self._succ = {}
         for agent, rel in model.relations.items():
-            succ = self._succ[agent] = {w: set() for w in model.worlds}
+            succ = self._succ[agent] = [0] * len(model.worlds)
             for u, v in rel:
-                succ[u].add(v)
-        self._all = frozenset(model.worlds)
-        self._memo: dict[Formula, frozenset] = {}
+                succ[self._index[u]] |= 1 << self._index[v]
+        self._memo: dict[Formula, int] = {}
 
     def extension(self, formula: Formula) -> frozenset:
-        ext = self._memo.get(formula)
-        if ext is not None:
-            return ext
-        m = self.model
+        mask = self._mask(formula)
+        return frozenset(w for k, w in enumerate(self.model.worlds) if mask >> k & 1)
+
+    def satisfies(self, world: WorldId, formula: Formula) -> bool:
+        mask = self._mask(formula)
+        k = self._index.get(world)
+        return k is not None and mask >> k & 1 == 1
+
+    def _mask(self, formula: Formula) -> int:
+        mask = self._memo.get(formula)
+        if mask is not None:
+            return mask
+        # the formula batteries are mostly Not and Box nodes: match them first
         match formula:
-            case Top():
-                ext = self._all
-            case Bot():
-                ext = frozenset()
-            case Atom(name):
-                if name not in m.vocabulary:
-                    raise EvalError(f"unknown atom: {name}")
-                ext = frozenset(w for w in m.worlds if name in m.valuation[w])
             case Not(body):
-                ext = self._all - self.extension(body)
-            case And(parts):
-                ext = self._all
-                for p in parts:
-                    ext &= self.extension(p)
-            case Or(parts):
-                ext = frozenset()
-                for p in parts:
-                    ext |= self.extension(p)
-            case Implies(a, b):
-                ext = (self._all - self.extension(a)) | self.extension(b)
-            case Iff(a, b):
-                ea, eb = self.extension(a), self.extension(b)
-                ext = self._all - (ea ^ eb)
+                mask = self._all ^ self._mask(body)
             case Box(agent, body):
                 succ = self._succ.get(agent)
                 if succ is None:
                     raise EvalError(f"unknown agent: {agent}")
-                body_ext = self.extension(body)
-                ext = frozenset(w for w in m.worlds if succ[w] <= body_ext)
+                outside = self._all ^ self._mask(body)
+                mask = 0
+                for k, s in enumerate(succ):
+                    if not s & outside:
+                        mask |= 1 << k
+            case Atom(name):
+                m = self.model
+                if name not in m.vocabulary:
+                    raise EvalError(f"unknown atom: {name}")
+                mask = 0
+                for k, w in enumerate(m.worlds):
+                    if name in m.valuation[w]:
+                        mask |= 1 << k
+            case And(parts):
+                mask = self._all
+                for p in parts:
+                    mask &= self._mask(p)
+            case Or(parts):
+                mask = 0
+                for p in parts:
+                    mask |= self._mask(p)
+            case Implies(a, b):
+                mask = (self._all ^ self._mask(a)) | self._mask(b)
+            case Iff(a, b):
+                mask = self._all ^ self._mask(a) ^ self._mask(b)
+            case Top():
+                mask = self._all
+            case Bot():
+                mask = 0
             case _:
                 raise TypeError(f"not a formula: {formula!r}")
-        self._memo[formula] = ext
-        return ext
-
-    def satisfies(self, world: WorldId, formula: Formula) -> bool:
-        return world in self.extension(formula)
+        self._memo[formula] = mask
+        return mask
 
 
 @dataclass

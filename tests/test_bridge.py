@@ -384,6 +384,20 @@ def test_formula_family_counts():
     assert len(shallow) == 18
 
 
+def test_formula_family_is_built_once_and_handed_out_as_fresh_lists():
+    first = formula_family(["p", "q"], ["a"])
+    second = formula_family(("p", "q"), ("a",))
+    assert second == first
+    assert second is not first
+    # one battery behind both lists: the nodes are the same objects
+    assert all(x is y for x, y in zip(first, second))
+    size = len(first)
+    first.clear()
+    second.append(TOP)
+    assert len(formula_family(["p", "q"], ["a"])) == size
+    assert formula_family(["p", "q"], ["a"]) == formula_family(("p", "q"), ("a",))
+
+
 # -- generators -------------------------------------------------------------------
 
 def test_generate_scene_is_deterministic_and_bounded():
@@ -475,7 +489,13 @@ def test_minimization_preserves_truth_on_random_structures():
 def test_run_suite_small():
     report = run_suite(seed=0, count=25)
     assert report.ok
-    assert report.checked == {"event": 25, "action": 25, "roundtrip": 25}
+    assert report.checked == {
+        "event": 25,
+        "action": 25,
+        "roundtrip": 25,
+        "translation": 25,
+        "minimization": 25,
+    }
     assert report.minimal_failure() is None
 
 

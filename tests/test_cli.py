@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from symdel import cli, language
+from symdel import bridge, cli, language
 from symdel.cli import main
 from symdel.errors import SymdelError
 from symdel.language import compile_formula, parse
@@ -586,7 +586,7 @@ def test_prove_vacuous(capsys):
     code, out, _ = run(capsys, "prove", "--count", "0")
     assert code == 0
     assert "all checks passed" in out
-    assert out.count("0 instances, 0 failures") == 3
+    assert out.count("0 instances, 0 failures") == 5
 
 
 def test_prove_small(capsys):
@@ -595,6 +595,30 @@ def test_prove_small(capsys):
     for part in ("event", "action", "roundtrip"):
         assert f"part {part}: 10 instances, 0 failures" in out
     assert out.strip().endswith("all checks passed")
+
+
+@pytest.mark.parametrize(
+    "part, first, block",
+    [
+        ("event", "scene\n", "\nEVENT"),
+        ("action", "props: ", "\nACTION"),
+        ("roundtrip", "props: ", "\nACTION"),
+        ("translation", "scene\n", None),
+        ("minimization", "scene\n", None),
+    ],
+)
+def test_prove_prints_the_minimal_failing_instance(capsys, monkeypatch, part, first, block):
+    monkeypatch.setitem(bridge.SUITE_PARTS, part, lambda seed, bounds, depth: ("broken", 1))
+    code, out, _ = run(capsys, "prove", "--count", "2", "--seed", "5")
+    assert code == 1
+    assert f"part {part}: 2 instances, 2 failures" in out
+    instance = out.split(f"minimal failing instance: part {part}, seed 5\n  broken\n")[1]
+    assert instance.startswith(first)
+    if block is None:
+        assert "\n  state: {" in instance
+        assert "EVENT" not in instance and "ACTION" not in instance
+    else:
+        assert block in instance
 
 
 def test_prove_error_names_the_command(capsys, monkeypatch):

@@ -1,13 +1,15 @@
 """Explicit model tests: Kripke semantics, product update, conversions."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import epistemic_formulas, scene_eval_enum
 from symdel.boolfun import Engine
-from symdel.bridge import check_morphism
+from symdel.bridge import Bounds, check_morphism, formula_family, generate_model_action
 from symdel.errors import EvalError, PointEliminated, VocabularyError
 from symdel.explicit import (
     ActionModel,
@@ -24,7 +26,21 @@ from symdel.explicit import (
     relation_of,
     structure_of_model,
 )
-from symdel.language import BOT, TOP, compile_formula, parse
+from symdel.language import (
+    BOT,
+    TOP,
+    And,
+    Atom,
+    Bot,
+    Box,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Top,
+    compile_formula,
+    parse,
+)
 from symdel.symbolic import BeliefStructure, Scene
 
 
@@ -186,6 +202,87 @@ def test_worlds_without_successors_believe_everything():
     assert evaluator.satisfies("w", parse("[a] p"))
     assert evaluator.satisfies("w", parse("[a] ~p"))
     assert not evaluator.satisfies("w", parse("~[a] p"))
+
+
+def reference_truth(model: KripkeModel, world, formula) -> bool:
+    """Truth at one world by recursion over the formula, reading the
+    valuation and the relations directly; the reference for the
+    evaluator's bitmasks."""
+    match formula:
+        case Top():
+            return True
+        case Bot():
+            return False
+        case Atom(name):
+            return name in model.valuation[world]
+        case Not(body):
+            return not reference_truth(model, world, body)
+        case And(parts):
+            return all(reference_truth(model, world, p) for p in parts)
+        case Or(parts):
+            return any(reference_truth(model, world, p) for p in parts)
+        case Implies(a, b):
+            return not reference_truth(model, world, a) or reference_truth(model, world, b)
+        case Iff(a, b):
+            return reference_truth(model, world, a) == reference_truth(model, world, b)
+        case Box(agent, body):
+            return all(
+                reference_truth(model, v, body)
+                for u, v in model.relations[agent]
+                if u == world
+            )
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def assert_evaluator_matches_reference(model: KripkeModel):
+    evaluator = GlobalEvaluator(model)
+    for phi in formula_family(model.vocabulary, model.agents, 2):
+        truth = {w: reference_truth(model, w, phi) for w in model.worlds}
+        for w in model.worlds:
+            assert evaluator.satisfies(w, phi) == truth[w], (w, phi)
+        assert evaluator.extension(phi) == frozenset(w for w in model.worlds if truth[w])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([Bounds(), Bounds(max_vocab=3, max_agents=3)]))
+def test_global_evaluator_matches_the_reference_on_generated_models(seed, bounds):
+    pointed, action, _ = generate_model_action(seed, bounds)
+    assert_evaluator_matches_reference(pointed.model)
+    assert_evaluator_matches_reference(product_update(pointed.model, action))
+
+
+def test_global_evaluator_on_worlds_without_successors_and_outside_the_model():
+    # v has no a-successor; w and u see each other
+    model = KripkeModel(
+        ("p",),
+        ("w", "u", "v"),
+        {"a": {("w", "u"), ("u", "w")}},
+        {"w": {"p"}, "u": set(), "v": set()},
+    )
+    assert_evaluator_matches_reference(model)
+    evaluator = GlobalEvaluator(model)
+    assert evaluator.extension(parse("[a] p")) == frozenset({"u", "v"})
+    assert evaluator.extension(parse("[a] Bot")) == frozenset({"v"})
+    assert evaluator.extension(parse("~[a] p & ~[a] ~p")) == frozenset()
+    for outside in ("x", ("w", "e"), 0):
+        assert evaluator.satisfies(outside, TOP) is False
+        assert evaluator.satisfies(outside, parse("[a] Bot")) is False
+
+
+def test_global_evaluator_errors_come_from_evaluation():
+    evaluator = GlobalEvaluator(coin_model())  # building it checks no formula
+    for bad, message in (("q", "unknown atom: q"), ("[c] p", "unknown agent: c")):
+        with pytest.raises(EvalError, match=re.escape(message)):
+            evaluator.satisfies("w", parse(bad))
+        with pytest.raises(EvalError, match=re.escape(message)):
+            evaluator.satisfies("elsewhere", parse(bad))
+        with pytest.raises(EvalError, match=re.escape(message)):
+            evaluator.extension(parse(f"p & ~({bad})"))
+    with pytest.raises(TypeError):
+        evaluator.extension("p")
+    with pytest.raises(TypeError):
+        evaluator.satisfies("w", And((Atom("p"), "q")))
+    assert evaluator.satisfies("w", parse("p & [a] p & [b] p"))
 
 
 # -- validation --------------------------------------------------------------
