@@ -592,14 +592,11 @@ def generate_formulas(seed: int, structure: BeliefStructure, count: int = 6, dep
     return [_random_formula(rng, names, agents, depth) for _ in range(count)]
 
 
-def check_minimization(seed: int, bounds: Bounds = Bounds(), depth: int = 2) -> str | None:
-    """Pin one variable by the law, remove it, and compare all formulas
-    over the remaining vocabulary on every state."""
-    scene = generate_scene(seed, bounds)
+def check_minimization(scene: Scene, target: VarId, depth: int = 2) -> str | None:
+    """Pin target by the law, remove it, and compare all formulas over
+    the remaining vocabulary on every state."""
     structure = scene.structure
     engine = structure.engine
-    rng = random.Random(f"mini-{seed}")
-    target = rng.choice(list(structure.vocabulary))
     pinned_law = structure.law & engine.atom(target)
     if pinned_law.is_false:
         pinned_law = structure.law & ~engine.atom(target)
@@ -610,12 +607,13 @@ def check_minimization(seed: int, bounds: Bounds = Bounds(), depth: int = 2) -> 
     reduced = minimize(pinned, kept)
     before = pinned.translator
     after = reduced.translator
+    states = [(state, state - {target}) for state in pinned.states()]
     family = formula_family([v.name for v in kept], sorted(structure.agents), depth)
     for phi in family:
         fn_before = before.fn(phi)
         fn_after = after.fn(phi)
-        for state in pinned.states():
-            if fn_before.holds(state) != fn_after.holds(state - {target}):
+        for state, rest in states:
+            if fn_before.holds(state) != fn_after.holds(rest):
                 names = ",".join(sorted(v.name for v in state))
                 return (
                     f"minimization changes {format_formula(phi)} at "
@@ -656,10 +654,10 @@ def _translation_part(seed: int, bounds: Bounds, depth: int) -> tuple[str | None
 
 
 def _minimization_part(seed: int, bounds: Bounds, depth: int) -> tuple[str | None, int]:
-    # check_minimization draws the scene itself; drawing it again for
-    # its size costs about a fifteenth of the check
-    size = len(generate_scene(seed, bounds).structure.vocabulary)
-    return check_minimization(seed, bounds, depth), size
+    scene = generate_scene(seed, bounds)
+    vocabulary = scene.structure.vocabulary
+    target = random.Random(f"mini-{seed}").choice(list(vocabulary))
+    return check_minimization(scene, target, depth), len(vocabulary)
 
 
 # The parts of the equivalence suite, in the order run_suite runs them.

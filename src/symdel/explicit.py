@@ -4,8 +4,9 @@ World and event identifiers can be any hashable value.  Derived models
 use frozensets of atom names (worlds named by their valuations) and
 (world, event) pairs, and the formatting helpers know how to render
 those deterministically.  GlobalEvaluator is the one explicit evaluator
-of the Kripke semantics: product update, the equivalence harness and
-the benchmark all ask it for truth at a world.  It indexes the worlds
+of the Kripke semantics: product update reads one world mask of it
+per precondition and postcondition, and the equivalence harness and
+the benchmark ask it for truth at a world.  It indexes the worlds
 once and holds each extension as an int bitmask over that index, so
 connectives are bitwise operations and a belief operator tests one
 successor mask per world.
@@ -111,7 +112,9 @@ class GlobalEvaluator:
     World k is the k-th of `model.worlds`, and an extension is an int
     whose bit k is set when the formula holds at world k.  Each agent
     has one successor mask per world, so [i]phi holds at the worlds
-    whose successor mask misses the complement of phi's mask.
+    whose successor mask misses the complement of phi's mask.  Each
+    distinct subformula's mask is computed once, by a recursion that
+    dispatches on the exact class of the node.
     """
 
     def __init__(self, model: KripkeModel):
@@ -138,45 +141,47 @@ class GlobalEvaluator:
         mask = self._memo.get(formula)
         if mask is not None:
             return mask
-        # the formula batteries are mostly Not and Box nodes: match them first
-        match formula:
-            case Not(body):
-                mask = self._all ^ self._mask(body)
-            case Box(agent, body):
-                succ = self._succ.get(agent)
-                if succ is None:
-                    raise EvalError(f"unknown agent: {agent}")
-                outside = self._all ^ self._mask(body)
-                mask = 0
-                for k, s in enumerate(succ):
-                    if not s & outside:
-                        mask |= 1 << k
-            case Atom(name):
-                m = self.model
-                if name not in m.vocabulary:
-                    raise EvalError(f"unknown atom: {name}")
-                mask = 0
-                for k, w in enumerate(m.worlds):
-                    if name in m.valuation[w]:
-                        mask |= 1 << k
-            case And(parts):
-                mask = self._all
-                for p in parts:
-                    mask &= self._mask(p)
-            case Or(parts):
-                mask = 0
-                for p in parts:
-                    mask |= self._mask(p)
-            case Implies(a, b):
-                mask = (self._all ^ self._mask(a)) | self._mask(b)
-            case Iff(a, b):
-                mask = self._all ^ self._mask(a) ^ self._mask(b)
-            case Top():
-                mask = self._all
-            case Bot():
-                mask = 0
-            case _:
-                raise TypeError(f"not a formula: {formula!r}")
+        # dispatch on the exact node class; the formula batteries are
+        # mostly Not and Box nodes, so they come first
+        kind = type(formula)
+        if kind is Not:
+            mask = self._all ^ self._mask(formula.body)
+        elif kind is Box:
+            succ = self._succ.get(formula.agent)
+            if succ is None:
+                raise EvalError(f"unknown agent: {formula.agent}")
+            outside = self._all ^ self._mask(formula.body)
+            mask = 0
+            for k, s in enumerate(succ):
+                if not s & outside:
+                    mask |= 1 << k
+        elif kind is Atom:
+            name = formula.name
+            m = self.model
+            if name not in m.vocabulary:
+                raise EvalError(f"unknown atom: {name}")
+            mask = 0
+            for k, w in enumerate(m.worlds):
+                if name in m.valuation[w]:
+                    mask |= 1 << k
+        elif kind is And:
+            mask = self._all
+            for p in formula.parts:
+                mask &= self._mask(p)
+        elif kind is Or:
+            mask = 0
+            for p in formula.parts:
+                mask |= self._mask(p)
+        elif kind is Implies:
+            mask = (self._all ^ self._mask(formula.left)) | self._mask(formula.right)
+        elif kind is Iff:
+            mask = self._all ^ self._mask(formula.left) ^ self._mask(formula.right)
+        elif kind is Top:
+            mask = self._all
+        elif kind is Bot:
+            mask = 0
+        else:
+            raise TypeError(f"not a formula: {formula!r}")
         self._memo[formula] = mask
         return mask
 
@@ -253,21 +258,32 @@ def product_update(model: KripkeModel, action: ActionModel) -> KripkeModel:
             stray = atoms_of(phi) - vocab
             if stray:
                 raise EvalError(f"unknown atom: {sorted(stray)[0]}")
-    evaluator = GlobalEvaluator(model)
-    pairs = [
-        (w, a)
-        for w in model.worlds
-        for a in action.events
-        if evaluator.satisfies(w, action.pre[a])
-    ]
-    pair_set = set(pairs)
+    # one world mask per precondition and per postcondition of an event
+    # that survives somewhere; a model without worlds evaluates none
+    mask = GlobalEvaluator(model)._mask
+    events = action.events if model.worlds else ()
+    pre = [(a, mask(action.pre[a])) for a in events]
+    atom_masks = [mask(Atom(p)) for p in model.vocabulary]
+    post = {}
+    for a, pre_mask in pre:
+        if pre_mask:
+            mapping = action.post.get(a, {})
+            post[a] = [
+                mask(mapping[p]) if p in mapping else atom_mask
+                for p, atom_mask in zip(model.vocabulary, atom_masks)
+            ]
+    pairs = []
     valuation = {}
-    for w, a in pairs:
-        valuation[(w, a)] = frozenset(
-            p
-            for p in model.vocabulary
-            if evaluator.satisfies(w, action.post_formula(a, p))
-        )
+    for k, w in enumerate(model.worlds):
+        for a, pre_mask in pre:
+            if pre_mask >> k & 1:
+                pairs.append((w, a))
+                valuation[(w, a)] = frozenset(
+                    p
+                    for p, post_mask in zip(model.vocabulary, post[a])
+                    if post_mask >> k & 1
+                )
+    pair_set = set(pairs)
     relations = {}
     for agent in model.relations:
         rel_m = model.relations[agent]

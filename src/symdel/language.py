@@ -13,6 +13,12 @@ Atoms are identifiers, optionally followed by a degree sign (with an
 optional generation number) and by a prime.  `Top` and `Bot` are the
 constants.  `@o` may be written for the degree sign on keyboards
 without one, so `t@o` and `t°` parse the same.
+
+The walkers (`subformulas`, `map_atoms`, the printer and the compiler)
+dispatch on the exact class of a node; no node class is subclassed.
+The compiler works on the engine's diagram nodes: each connective is a
+direct call of its if-then-else kernel, and only the result is wrapped
+as a `BoolFn`.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .boolfun import BoolFn, Engine, VarId
+from .boolfun import BoolFn, Engine, VarId, _Node
 from .errors import CompileError, ParseError
 
 
@@ -158,13 +164,14 @@ def subformulas(formula: Formula) -> Iterator[Formula]:
     while stack:
         phi = stack.pop()
         yield phi
-        match phi:
-            case Not(body) | Box(_, body):
-                stack.append(body)
-            case And(parts) | Or(parts):
-                stack.extend(reversed(parts))
-            case Implies(a, b) | Iff(a, b):
-                stack.extend((b, a))
+        kind = type(phi)
+        if kind is Not or kind is Box:
+            stack.append(phi.body)
+        elif kind is And or kind is Or:
+            stack.extend(reversed(phi.parts))
+        elif kind is Implies or kind is Iff:
+            stack.append(phi.right)
+            stack.append(phi.left)
 
 
 def atoms_of(formula: Formula) -> frozenset[str]:
@@ -189,27 +196,28 @@ def map_atoms(formula: Formula, fn: Callable[[Atom], Formula]) -> Formula:
     the part above a changed atom is built anew.
     """
 
-    match formula:
-        case Atom():
-            return fn(formula)
-        case Not(body):
-            new = map_atoms(body, fn)
-            return formula if new is body else Not(new)
-        case And(parts) | Or(parts):
-            new = tuple(map_atoms(p, fn) for p in parts)
-            if all(a is b for a, b in zip(new, parts)):
-                return formula
-            return type(formula)(new)
-        case Implies(a, b) | Iff(a, b):
-            new_a, new_b = map_atoms(a, fn), map_atoms(b, fn)
-            if new_a is a and new_b is b:
-                return formula
-            return type(formula)(new_a, new_b)
-        case Box(agent, body):
-            new = map_atoms(body, fn)
-            return formula if new is body else Box(agent, new)
-        case _:
+    kind = type(formula)
+    if kind is Atom:
+        return fn(formula)
+    if kind is Not or kind is Box:
+        body = formula.body
+        new = map_atoms(body, fn)
+        if new is body:
             return formula
+        return Not(new) if kind is Not else Box(formula.agent, new)
+    if kind is And or kind is Or:
+        parts = formula.parts
+        new = tuple(map_atoms(p, fn) for p in parts)
+        if all(a is b for a, b in zip(new, parts)):
+            return formula
+        return kind(new)
+    if kind is Implies or kind is Iff:
+        a, b = formula.left, formula.right
+        new_a, new_b = map_atoms(a, fn), map_atoms(b, fn)
+        if new_a is a and new_b is b:
+            return formula
+        return kind(new_a, new_b)
+    return formula
 
 
 def substitute(formula: Formula, binding: Mapping[str, Formula]) -> Formula:
@@ -373,27 +381,28 @@ def format_formula(formula: Formula) -> str:
 
 
 def _format(phi: Formula, ctx: int) -> str:
-    match phi:
-        case Top():
-            return "Top"
-        case Bot():
-            return "Bot"
-        case Atom(name):
-            return name
-        case Not(body):
-            return _wrap("~" + _format(body, _UNARY), _UNARY, ctx)
-        case Box(agent, body):
-            return _wrap(f"[{agent}] " + _format(body, _UNARY), _UNARY, ctx)
-        case And(parts):
-            return _wrap(" & ".join(_format(p, _UNARY) for p in parts), _AND, ctx)
-        case Or(parts):
-            return _wrap(" | ".join(_format(p, _AND) for p in parts), _OR, ctx)
-        case Implies(a, b):
-            return _wrap(_format(a, _OR) + " -> " + _format(b, _IMP), _IMP, ctx)
-        case Iff(a, b):
-            return _wrap(_format(a, _IFF) + " <-> " + _format(b, _IMP), _IFF, ctx)
-        case _:
-            raise TypeError(f"not a formula: {phi!r}")
+    kind = type(phi)
+    if kind is Atom:
+        return phi.name
+    if kind is Not:
+        return _wrap("~" + _format(phi.body, _UNARY), _UNARY, ctx)
+    if kind is Box:
+        return _wrap(f"[{phi.agent}] " + _format(phi.body, _UNARY), _UNARY, ctx)
+    if kind is And:
+        return _wrap(" & ".join(_format(p, _UNARY) for p in phi.parts), _AND, ctx)
+    if kind is Or:
+        return _wrap(" | ".join(_format(p, _AND) for p in phi.parts), _OR, ctx)
+    if kind is Implies:
+        text = _format(phi.left, _OR) + " -> " + _format(phi.right, _IMP)
+        return _wrap(text, _IMP, ctx)
+    if kind is Iff:
+        text = _format(phi.left, _IFF) + " <-> " + _format(phi.right, _IMP)
+        return _wrap(text, _IFF, ctx)
+    if kind is Top:
+        return "Top"
+    if kind is Bot:
+        return "Bot"
+    raise TypeError(f"not a formula: {phi!r}")
 
 
 def _wrap(text: str, level: int, ctx: int) -> str:
@@ -420,54 +429,69 @@ def compile_with(
     env: Mapping[str, VarId],
     engine: Engine,
     box: Callable[[Box], BoolFn],
-    memo: dict[Formula, BoolFn] | None = None,
+    memo: dict[Formula, _Node] | None = None,
 ) -> BoolFn:
     """Compile a formula, handing each belief operator to box.
 
-    Boolean connectives map to function operations and atoms resolve
-    through env; box gets the whole Box node, body uncompiled.  With a
-    memo, every subformula is looked up there first and stored after.
+    Boolean connectives are calls of the engine's if-then-else kernel on
+    diagram nodes, the ones `Engine.combine` makes, and atoms resolve
+    through env; box gets the whole Box node, body uncompiled, and
+    returns a function.  The memo maps each subformula compiled before
+    to its diagram node, so a repeated one costs one lookup; without
+    one, the call keeps its own.
     """
+    if not isinstance(formula, Formula):
+        raise TypeError(f"not a formula: {formula!r}")
+    if memo is None:
+        memo = {}
+    return BoolFn(engine, _compile(formula, env, engine, box, memo))
 
-    def go(phi):
-        if memo is not None:
-            out = memo.get(phi)
-            if out is not None:
-                return out
-        match phi:
-            case Top():
-                out = engine.true
-            case Bot():
-                out = engine.false
-            case Atom(name):
-                var = env.get(name)
-                if var is None:
-                    raise CompileError(f"unbound atom: {name}")
-                out = engine.atom(var)
-            case Not(body):
-                out = ~go(body)
-            case And(parts):
-                out = engine.conj([go(p) for p in parts])
-            case Or(parts):
-                out = engine.disj([go(p) for p in parts])
-            case Implies(a, b):
-                out = go(a).implies(go(b))
-            case Iff(a, b):
-                out = go(a).iff(go(b))
-            case Box():
-                out = box(phi)
-            case _:
-                raise TypeError(f"not a formula: {phi!r}")
-        if memo is not None:
-            memo[phi] = out
-        return out
 
-    try:
-        return go(formula)
-    finally:
-        # go holds itself through its closure cell; emptying the cell
-        # frees it by reference counting, not by the cyclic collector
-        del go
+def _compile(phi, env, engine, box, memo):
+    # Dispatch on the exact node class, the kinds most frequent in
+    # belief queries first.  Each connective makes the _ite calls that
+    # Engine.combine makes for it, so both build the same nodes.
+    node = memo.get(phi)
+    if node is not None:
+        return node
+    kind = type(phi)
+    if kind is Not:
+        node = engine._ite(
+            _compile(phi.body, env, engine, box, memo), engine._false, engine._true
+        )
+    elif kind is Box:
+        node = engine._node_of(box(phi))
+    elif kind is Atom:
+        var = env.get(phi.name)
+        if var is None:
+            raise CompileError(f"unbound atom: {phi.name}")
+        node = engine._mk(engine._check_var(var), engine._false, engine._true)
+    elif kind is And:
+        nodes = [_compile(p, env, engine, box, memo) for p in phi.parts]
+        node, e = engine._true, engine._false
+        for n in nodes:
+            node = engine._ite(node, n, e)
+    elif kind is Or:
+        nodes = [_compile(p, env, engine, box, memo) for p in phi.parts]
+        node, t = engine._false, engine._true
+        for n in nodes:
+            node = engine._ite(node, t, n)
+    elif kind is Implies:
+        a = _compile(phi.left, env, engine, box, memo)
+        b = _compile(phi.right, env, engine, box, memo)
+        node = engine._ite(a, b, engine._true)
+    elif kind is Iff:
+        a = _compile(phi.left, env, engine, box, memo)
+        b = _compile(phi.right, env, engine, box, memo)
+        node = engine._ite(a, b, engine._ite(b, engine._false, engine._true))
+    elif kind is Top:
+        node = engine._true
+    elif kind is Bot:
+        node = engine._false
+    else:
+        raise TypeError(f"not a formula: {phi!r}")
+    memo[phi] = node
+    return node
 
 
 def recover_formula(fn: BoolFn, memo: dict[BoolFn, Formula] | None = None) -> Formula:

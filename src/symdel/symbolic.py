@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .boolfun import BoolFn, Engine, VarId
+from .boolfun import BoolFn, Engine, VarId, _Node
 from .errors import (
     EvalError,
     NotDetermined,
@@ -183,8 +183,8 @@ class Event:
 class Translator:
     """Boolean translation of formulas against one belief structure.
 
-    Boolean connectives map to function operations.  A belief operator
-    for agent i translates as
+    `compile_with` compiles the boolean connectives and hands it each
+    belief operator.  A belief operator for agent i translates as
 
         K_i phi = ~ exists V' (law' & obs_i & ~phi')
 
@@ -192,7 +192,8 @@ class Translator:
     function while falsifying the primed translation of the body.  The
     relation law' & obs_i is built once per agent, on first use, and
     each operator is one relational product (`Engine._and_exists`) over
-    the primed vocabulary.  Translations are cached per subformula.
+    the primed vocabulary.  The translation of each subformula is kept,
+    as its diagram node, for the life of the translator.
     """
 
     def __init__(self, structure: BeliefStructure):
@@ -207,7 +208,7 @@ class Translator:
         self._last = max(self._levels, default=-1)
         self._law_primed = engine._prime(structure.law.node)
         self._relations = {}  # agent -> diagram node of law' & obs
-        self._memo: dict[Formula, BoolFn] = {}
+        self._memo: dict[Formula, _Node] = {}
 
     def fn(self, formula: Formula) -> BoolFn:
         return compile_with(formula, self.env, self.engine, self._box, self._memo)

@@ -12,7 +12,6 @@ from pathlib import Path
 from symdel.boolfun import Engine
 from symdel.bridge import (
     act,
-    check_minimization,
     check_morphism,
     check_translation,
     generate_formulas,
@@ -167,10 +166,11 @@ def test_criterion_5_explicit_update_matches_encoded_transform():
 def test_criterion_6_minimization_preserves_all_small_formulas():
     budget = 60.0
     start = time.perf_counter()
-    for seed in range(500):
-        detail = check_minimization(seed)
-        assert detail is None, f"seed {seed}: {detail}"
+    report = run_suite(seed=0, count=500, depth=2, parts=("minimization",))
     elapsed = time.perf_counter() - start
+    worst = report.minimal_failure()
+    assert report.ok, f"seed {worst.seed}: {worst.detail}"
+    assert report.checked["minimization"] == 500
     assert elapsed < budget
     _report("criterion 6 (minimization, 500 structures)", elapsed, budget)
 

@@ -481,7 +481,9 @@ def test_translation_agrees_on_random_structures():
 
 def test_minimization_preserves_truth_on_random_structures():
     for seed in range(10):
-        assert check_minimization(seed) is None, seed
+        scene = generate_scene(seed)
+        for target in scene.structure.vocabulary:
+            assert check_minimization(scene, target) is None, (seed, target)
 
 
 # -- suite runner ---------------------------------------------------------------------

@@ -285,6 +285,56 @@ def test_global_evaluator_errors_come_from_evaluation():
     assert evaluator.satisfies("w", parse("p & [a] p & [b] p"))
 
 
+def reference_product(model: KripkeModel, action: ActionModel) -> KripkeModel:
+    """Product update pair by pair: each precondition and postcondition
+    read at one world through `satisfies`."""
+    evaluator = GlobalEvaluator(model)
+    pairs = [
+        (w, a)
+        for w in model.worlds
+        for a in action.events
+        if evaluator.satisfies(w, action.pre[a])
+    ]
+    valuation = {
+        (w, a): frozenset(
+            p
+            for p in model.vocabulary
+            if evaluator.satisfies(w, action.post.get(a, {}).get(p, Atom(p)))
+        )
+        for w, a in pairs
+    }
+    relations = {
+        agent: frozenset(
+            ((w, a), (v, b))
+            for (w, v) in model.relations[agent]
+            for (a, b) in action.relations[agent]
+            if (w, a) in valuation and (v, b) in valuation
+        )
+        for agent in model.relations
+    }
+    return KripkeModel(model.vocabulary, tuple(pairs), relations, valuation)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([Bounds(), Bounds(max_vocab=3, max_agents=3)]))
+def test_product_update_matches_the_pair_by_pair_reference(seed, bounds):
+    pointed, action, _ = generate_model_action(seed, bounds)
+    product = product_update(pointed.model, action)
+    expected = reference_product(pointed.model, action)
+    assert product.worlds == expected.worlds
+    assert format_model(product) == format_model(expected)
+    again = product_update(product, action)
+    assert format_model(again) == format_model(reference_product(product, action))
+
+
+def test_product_update_of_a_model_without_worlds_evaluates_nothing():
+    empty = KripkeModel(("p",), (), {"a": set()}, {})
+    action = ActionModel(("e", "f"), {"a": {("e", "f")}}, {"e": parse("[c] p"), "f": parse("z")})
+    assert product_update(empty, action).worlds == ()
+    with pytest.raises(EvalError, match="unknown agent: c"):
+        product_update(KripkeModel(("p",), ("w",), {"a": set()}, {"w": set()}), action)
+
+
 # -- validation --------------------------------------------------------------
 
 def test_model_validation_errors():

@@ -3,6 +3,7 @@
 import copy
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,17 +15,20 @@ from hypothesis import strategies as st
 from conftest import bf_truth, boolean_formulas, epistemic_formulas
 import symdel
 from symdel.boolfun import Engine
-from symdel.errors import CompileError, ParseError
+from symdel.errors import CompileError, EvalError, ParseError
+from symdel.explicit import GlobalEvaluator, KripkeModel
 from symdel.language import (
     BOT,
     TOP,
     And,
     Atom,
+    Bot,
     Box,
     Iff,
     Implies,
     Not,
     Or,
+    Top,
     atoms_of,
     agents_of,
     compile_formula,
@@ -32,12 +36,14 @@ from symdel.language import (
     disj,
     format_formula,
     is_boolean,
+    map_atoms,
     parse,
     recover_formula,
     subformulas,
     subset_formula,
     substitute,
 )
+from symdel.symbolic import BeliefStructure, Translator
 
 
 # -- parsing and printing ----------------------------------------------------
@@ -306,3 +312,318 @@ def test_recover_round_trips_through_compile(formula):
     primed_env = dict(env)
     back = compile_formula(recover_formula(fn), primed_env, engine)
     assert back == fn
+
+
+# -- the walkers against match-statement references ----------------------------
+#
+# Each walker dispatches on the exact node class.  The references below
+# are the same walkers written with one `match` case per node kind, the
+# form they had before; the test runs both on formulas of all nine kinds.
+
+ATOMS = ("p", "q", "r")
+AGENTS = ("a", "b")
+
+
+def all_kinds(atoms=ATOMS, agents=AGENTS):
+    """Formulas of all nine node kinds, with n-ary (also empty) And and Or."""
+    leaves = st.one_of(
+        st.just(TOP), st.just(BOT), st.sampled_from([Atom(a) for a in atoms])
+    )
+
+    def extend(children):
+        return st.one_of(
+            children.map(Not),
+            st.lists(children, max_size=3).map(lambda ps: And(tuple(ps))),
+            st.lists(children, max_size=3).map(lambda ps: Or(tuple(ps))),
+            st.tuples(children, children).map(lambda ab: Implies(*ab)),
+            st.tuples(children, children).map(lambda ab: Iff(*ab)),
+            st.tuples(st.sampled_from(agents), children).map(lambda ab: Box(*ab)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+def ref_subformulas(formula):
+    stack = [formula]
+    while stack:
+        phi = stack.pop()
+        yield phi
+        match phi:
+            case Not(body) | Box(_, body):
+                stack.append(body)
+            case And(parts) | Or(parts):
+                stack.extend(reversed(parts))
+            case Implies(a, b) | Iff(a, b):
+                stack.extend((b, a))
+
+
+def ref_map_atoms(formula, fn):
+    match formula:
+        case Atom():
+            return fn(formula)
+        case Not(body):
+            new = ref_map_atoms(body, fn)
+            return formula if new is body else Not(new)
+        case And(parts) | Or(parts):
+            new = tuple(ref_map_atoms(p, fn) for p in parts)
+            if all(a is b for a, b in zip(new, parts)):
+                return formula
+            return type(formula)(new)
+        case Implies(a, b) | Iff(a, b):
+            new_a, new_b = ref_map_atoms(a, fn), ref_map_atoms(b, fn)
+            if new_a is a and new_b is b:
+                return formula
+            return type(formula)(new_a, new_b)
+        case Box(agent, body):
+            new = ref_map_atoms(body, fn)
+            return formula if new is body else Box(agent, new)
+        case _:
+            return formula
+
+
+def ref_format(phi, ctx=1):
+    def wrap(text, level):
+        return f"({text})" if level < ctx else text
+
+    match phi:
+        case Top():
+            return "Top"
+        case Bot():
+            return "Bot"
+        case Atom(name):
+            return name
+        case Not(body):
+            return wrap("~" + ref_format(body, 5), 5)
+        case Box(agent, body):
+            return wrap(f"[{agent}] " + ref_format(body, 5), 5)
+        case And(parts):
+            return wrap(" & ".join(ref_format(p, 5) for p in parts), 4)
+        case Or(parts):
+            return wrap(" | ".join(ref_format(p, 4) for p in parts), 3)
+        case Implies(a, b):
+            return wrap(ref_format(a, 3) + " -> " + ref_format(b, 2), 2)
+        case Iff(a, b):
+            return wrap(ref_format(a, 1) + " <-> " + ref_format(b, 2), 1)
+        case _:
+            raise TypeError(f"not a formula: {phi!r}")
+
+
+def ref_compile_with(formula, env, engine, box):
+    """Compilation through the public function operations."""
+    match formula:
+        case Top():
+            return engine.true
+        case Bot():
+            return engine.false
+        case Atom(name):
+            if name not in env:
+                raise CompileError(f"unbound atom: {name}")
+            return engine.atom(env[name])
+        case Not(body):
+            return ~ref_compile_with(body, env, engine, box)
+        case And(parts):
+            return engine.conj([ref_compile_with(p, env, engine, box) for p in parts])
+        case Or(parts):
+            return engine.disj([ref_compile_with(p, env, engine, box) for p in parts])
+        case Implies(a, b):
+            return ref_compile_with(a, env, engine, box).implies(
+                ref_compile_with(b, env, engine, box)
+            )
+        case Iff(a, b):
+            return ref_compile_with(a, env, engine, box).iff(
+                ref_compile_with(b, env, engine, box)
+            )
+        case Box():
+            return box(formula)
+        case _:
+            raise TypeError(f"not a formula: {formula!r}")
+
+
+class RefTranslator:
+    """K_i phi = ~ exists V' (law' & obs_i & ~phi'), with public operations."""
+
+    def __init__(self, structure):
+        self.structure = structure
+        engine = structure.engine
+        self.primed = [engine.primed(v) for v in structure.vocabulary]
+        self.law_primed = engine.prime(structure.law)
+
+    def fn(self, formula):
+        s = self.structure
+        return ref_compile_with(formula, s.env(), s.engine, self.box)
+
+    def box(self, formula):
+        engine = self.structure.engine
+        obs = self.structure.observations.get(formula.agent)
+        if obs is None:
+            raise EvalError(f"unknown agent: {formula.agent}")
+        refuted = ~engine.prime(self.fn(formula.body))
+        return ~engine.and_exists(self.law_primed & obs, refuted, self.primed)
+
+
+class RefEvaluator:
+    """Extension masks by a `match` over the formula, world k at bit k."""
+
+    def __init__(self, model):
+        self.model = model
+        self.all = (1 << len(model.worlds)) - 1
+        index = {w: k for k, w in enumerate(model.worlds)}
+        self.succ = {}
+        for agent, rel in model.relations.items():
+            succ = self.succ[agent] = [0] * len(model.worlds)
+            for u, v in rel:
+                succ[index[u]] |= 1 << index[v]
+
+    def mask(self, formula):
+        match formula:
+            case Not(body):
+                return self.all ^ self.mask(body)
+            case Box(agent, body):
+                succ = self.succ.get(agent)
+                if succ is None:
+                    raise EvalError(f"unknown agent: {agent}")
+                outside = self.all ^ self.mask(body)
+                return sum(1 << k for k, s in enumerate(succ) if not s & outside)
+            case Atom(name):
+                m = self.model
+                if name not in m.vocabulary:
+                    raise EvalError(f"unknown atom: {name}")
+                return sum(1 << k for k, w in enumerate(m.worlds) if name in m.valuation[w])
+            case And(parts):
+                mask = self.all
+                for p in parts:
+                    mask &= self.mask(p)
+                return mask
+            case Or(parts):
+                mask = 0
+                for p in parts:
+                    mask |= self.mask(p)
+                return mask
+            case Implies(a, b):
+                return (self.all ^ self.mask(a)) | self.mask(b)
+            case Iff(a, b):
+                return self.all ^ self.mask(a) ^ self.mask(b)
+            case Top():
+                return self.all
+            case Bot():
+                return 0
+            case _:
+                raise TypeError(f"not a formula: {formula!r}")
+
+
+def walker_structure():
+    """Three variables, a law with two holes, and two agents whose
+    observation functions are neither reflexive nor symmetric."""
+    engine = Engine()
+    env = {n: engine.variable(n) for n in ATOMS}
+    env.update({n + "'": engine.primed(v) for n, v in list(env.items())})
+
+    def fn(text):
+        return compile_formula(parse(text), env, engine)
+
+    return BeliefStructure(
+        engine,
+        tuple(engine.variable(n) for n in ATOMS),
+        fn("p | q"),
+        {"a": fn("(p <-> q') & ~r'"), "b": fn("q -> p' | r")},
+    )
+
+
+WALKER_MODEL = KripkeModel(
+    ATOMS,
+    ("w", "u", "v", "x"),
+    {"a": {("w", "u"), ("u", "v"), ("v", "v")}, "b": {("w", "w"), ("u", "w"), ("x", "v")}},
+    {"w": {"p"}, "u": {"p", "q"}, "v": set(), "x": {"r"}},
+)
+
+
+def original_nodes(result, formula):
+    """The ids of the nodes of formula that result reuses."""
+    ids = {id(phi) for phi in subformulas(formula)}
+    return {id(phi) for phi in subformulas(result)} & ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(all_kinds(), st.sets(st.sampled_from(ATOMS)), st.sampled_from(ATOMS))
+def test_walkers_match_their_match_statement_references(formula, true_names, name):
+    # traversal and printing
+    assert list(subformulas(formula)) == list(ref_subformulas(formula))
+    assert format_formula(formula) == ref_format(formula)
+
+    # atom maps: equal results that reuse the same original nodes
+    for binding in ({}, {"zz": TOP}, {name: Not(Atom(name))}, {"p": Atom("q"), "q": BOT}):
+        new = substitute(formula, binding)
+        ref = ref_map_atoms(formula, lambda atom: binding.get(atom.name, atom))
+        assert new == ref
+        assert original_nodes(new, formula) == original_nodes(ref, formula)
+        if not binding.keys() & atoms_of(formula):
+            assert new is formula
+    assert map_atoms(formula, lambda atom: atom) is formula
+
+    # compilation: the same node as the public operations build, and the
+    # truth table of the belief-free formulas
+    engine = Engine()
+    env = {n: engine.variable(n) for n in ATOMS}
+    if is_boolean(formula):
+        fn = compile_formula(formula, env, engine)
+        assert fn == ref_compile_with(formula, env, engine, None)
+        assert fn.holds({env[n] for n in true_names}) == bf_truth(formula, true_names)
+    else:
+        with pytest.raises(CompileError, match=r"belief operator \[\w+\] in a boolean-only"):
+            compile_formula(formula, env, engine)
+
+    # the translator, once fresh and once from its warm memo
+    structure = walker_structure()
+    translator, ref = Translator(structure), RefTranslator(structure)
+    expected = ref.fn(formula)
+    assert translator.fn(formula) == expected
+    for phi in subformulas(formula):
+        assert translator.fn(phi) == ref.fn(phi)
+    assert translator.fn(formula) == expected
+
+    # the explicit oracle's masks
+    evaluator, ref_eval = GlobalEvaluator(WALKER_MODEL), RefEvaluator(WALKER_MODEL)
+    mask = ref_eval.mask(formula)
+    worlds = WALKER_MODEL.worlds
+    assert evaluator.extension(formula) == {w for k, w in enumerate(worlds) if mask >> k & 1}
+    for phi in subformulas(formula):
+        assert evaluator._mask(phi) == ref_eval.mask(phi)
+
+
+def test_walker_errors():
+    engine = Engine()
+    env = {n: engine.variable(n) for n in ATOMS}
+    structure = walker_structure()
+    evaluator = GlobalEvaluator(WALKER_MODEL)
+    p = Atom("p")
+    for bad in (5, "p", None, [p]):
+        message = re.escape(f"not a formula: {bad!r}")
+        with pytest.raises(TypeError, match=message):
+            compile_formula(bad, env, engine)
+        with pytest.raises(TypeError, match=message):
+            Translator(structure).fn(bad)
+        with pytest.raises(TypeError, match=message):
+            format_formula(bad)
+        if isinstance(bad, list):
+            continue  # a node's children are hashable
+        with pytest.raises(TypeError, match=message):
+            compile_formula(And((p, Not(bad))), env, engine)
+        with pytest.raises(TypeError, match=message):
+            Translator(structure).fn(Box("a", Iff(p, bad)))
+        with pytest.raises(TypeError, match=message):
+            format_formula(Or((p, Box("a", bad))))
+        with pytest.raises(TypeError, match=message):
+            evaluator.extension(Implies(p, bad))
+
+    with pytest.raises(CompileError, match="^unbound atom: z$"):
+        compile_formula(parse("p & (q | ~z)"), env, engine)
+    with pytest.raises(CompileError, match="^unbound atom: z$"):
+        Translator(structure).fn(parse("[a] (p -> z)"))
+    with pytest.raises(CompileError, match=r"^belief operator \[b\] in a boolean-only context$"):
+        compile_formula(parse("p -> ~[b] q"), env, engine)
+    with pytest.raises(EvalError, match="^unknown agent: c$"):
+        Translator(structure).fn(parse("p & [c] q"))
+    with pytest.raises(EvalError, match="^unknown agent: c$"):
+        evaluator.extension(parse("p & [c] q"))
+    with pytest.raises(EvalError, match="^unknown atom: z$"):
+        evaluator.extension(parse("[a] z"))

@@ -29,6 +29,7 @@ from symdel.language import (
     Atom,
     agents_of,
     atoms_of,
+    compile_formula,
     compile_with,
     format_formula,
     parse,
@@ -657,12 +658,15 @@ def test_calls_leave_no_reference_cycles():
     watch = scene.structure.observations["a"]
     pair = (p, engine.primed(p))
     phi = parse("[a] p | ~p")
+    env = scene.structure.env()
     calls = {
         "scene_eval": lambda: scene_eval(scene, phi),
         "scene_eval in a fresh engine": lambda: scene_eval(coin_start(Engine()), phi),
         "atoms_of": lambda: atoms_of(phi),
         "agents_of": lambda: agents_of(phi),
         "format_formula": lambda: format_formula(phi),
+        "compile_formula": lambda: compile_formula(parse("p & ~(p -> p) | p"), env, engine),
+        "a fresh Translator.fn": lambda: Translator(scene.structure).fn(phi),
         "sat_assignments": lambda: engine.sat_assignments(watch, pair),
         "cubes": lambda: engine.cubes(watch),
     }
