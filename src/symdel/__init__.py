@@ -9,7 +9,6 @@ cross-checking.
 from .boolfun import BoolFn, Engine, VarId
 from .bridge import (
     Bounds,
-    MorphismReport,
     act,
     check_morphism,
     check_part_i,
@@ -20,7 +19,6 @@ from .bridge import (
     generate_scene,
     generate_scene_event,
     run_suite,
-    trf,
     trf_with_labels,
 )
 from .errors import (
@@ -29,7 +27,6 @@ from .errors import (
     NotDetermined,
     NotExecutable,
     ParseError,
-    PointEliminated,
     SymdelError,
     VocabularyError,
 )
@@ -41,7 +38,6 @@ from .explicit import (
     format_model,
     model_of_structure,
     product_update,
-    product_update_pointed,
     structure_of_model,
 )
 from .language import (
@@ -96,17 +92,17 @@ __all__ = [
     # boolfun
     "BoolFn", "Engine", "VarId",
     # bridge
-    "Bounds", "MorphismReport", "act", "check_morphism", "check_part_i",
+    "Bounds", "act", "check_morphism", "check_part_i",
     "check_part_ii", "check_roundtrip", "formula_family",
     "generate_model_action", "generate_scene", "generate_scene_event",
-    "run_suite", "trf", "trf_with_labels",
+    "run_suite", "trf_with_labels",
     # errors
     "CompileError", "EvalError", "NotDetermined", "NotExecutable",
-    "ParseError", "PointEliminated", "SymdelError", "VocabularyError",
+    "ParseError", "SymdelError", "VocabularyError",
     # explicit
     "ActionModel", "GlobalEvaluator", "KripkeModel", "PointedModel",
     "format_model", "model_of_structure", "product_update",
-    "product_update_pointed", "structure_of_model",
+    "structure_of_model",
     # language
     "BOT", "TOP", "And", "Atom", "Bot", "Box", "Formula", "Iff", "Implies",
     "Not", "Or", "Top", "atoms_of", "compile_formula", "format_formula",

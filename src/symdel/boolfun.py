@@ -129,13 +129,10 @@ class Engine:
             self._allocate(stem, generations)
         return self._vars[generations[0]]
 
-    def has_variable(self, stem: str) -> bool:
-        return stem in self._stems
-
     def fresh_stem(self, prefix: str) -> VarId:
         """Declare a new variable named prefix1, prefix2, ... whichever is free."""
         i = 1
-        while self.has_variable(f"{prefix}{i}"):
+        while f"{prefix}{i}" in self._stems:
             i += 1
         return self.variable(f"{prefix}{i}")
 
@@ -298,7 +295,7 @@ class Engine:
     # -- public operations ------------------------------------------------
 
     def combine(self, op: str, args: Sequence["BoolFn"]) -> BoolFn:
-        """Pointwise connective: not, and, or, xor, implies, iff."""
+        """Pointwise connective: not, and, or, implies, iff."""
         nodes = [self._node_of(a) for a in args]
         t, e = self._true, self._false
         if op in ("and", "or"):
@@ -310,15 +307,14 @@ class Engine:
             if len(nodes) != 1:
                 raise BoolFnError("not takes exactly one argument")
             return BoolFn(self, self._ite(nodes[0], e, t))
-        if op not in ("xor", "implies", "iff"):
+        if op not in ("implies", "iff"):
             raise BoolFnError(f"unknown connective: {op}")
         if len(nodes) != 2:
             raise BoolFnError(f"{op} takes exactly two arguments")
         a, b = nodes
         if op == "implies":
             return BoolFn(self, self._ite(a, b, t))
-        nb = self._ite(b, e, t)
-        return BoolFn(self, self._ite(a, b, nb) if op == "iff" else self._ite(a, nb, b))
+        return BoolFn(self, self._ite(a, b, self._ite(b, e, t)))
 
     def conj(self, args: Iterable["BoolFn"]) -> BoolFn:
         return self.combine("and", list(args))

@@ -11,8 +11,10 @@ with the world-to-state morphism conditions that drive the agreement;
 on random scenes it also checks the boolean translation against the
 Kripke model and minimization against the unminimized structure.
 SUITE_PARTS is the one table of its parts, each generating, checking
-and sizing the instance of a seed; run_suite, `symdel prove` and the
-sweep script all read it.
+and sizing the instance of a seed; run_suite runs it, and `symdel
+prove`, its one front end, runs run_suite at the Bounds its flags set.
+Every check returns None on agreement, else a description of the
+first failure.
 """
 
 from __future__ import annotations
@@ -139,72 +141,57 @@ def trf_with_labels(
     return transformer, frozenset(label[designated]), label
 
 
-def trf(engine: Engine, action: ActionModel, designated) -> tuple[Transformer, frozenset[VarId]]:
-    transformer, actual, _ = trf_with_labels(engine, action, designated)
-    return transformer, actual
-
-
 # -- morphism ----------------------------------------------------------------
-
-@dataclass
-class MorphismReport:
-    ok: bool
-    detail: str = ""
-
 
 def check_morphism(
     structure: BeliefStructure,
     model: KripkeModel,
     shared: Sequence[str],
     g: Mapping,
-) -> MorphismReport:
+) -> str | None:
     """Check the three world-to-state conditions.
 
     C1: g respects edges through the observation functions.
     C2: g agrees with the valuation on the shared vocabulary.
     C3: the states of the structure are exactly the image of g.
-    Returns the first violation found, in that order.
+    Returns None when all three hold, else a description of the first
+    violation found, in that order.
     """
     vocab = set(structure.vocabulary)
     for w in model.worlds:
         if w not in g:
-            return MorphismReport(False, f"g undefined on world {format_point(w)}")
+            return f"g undefined on world {format_point(w)}"
         if not frozenset(g[w]) <= vocab:
-            return MorphismReport(
-                False, f"g({format_point(w)}) leaves the vocabulary"
-            )
+            return f"g({format_point(w)}) leaves the vocabulary"
     for agent, obs in structure.observations.items():
         rel = model.relations.get(agent)
         if rel is None:
-            return MorphismReport(False, f"model lacks agent {agent}")
+            return f"model lacks agent {agent}"
         accepted_pairs = relation_of(obs, g)
         for w1 in model.worlds:
             for w2 in model.worlds:
                 accepted = (w1, w2) in accepted_pairs
                 if accepted != ((w1, w2) in rel):
-                    return MorphismReport(
-                        False,
+                    return (
                         f"C1 fails for {agent} at "
                         f"({format_point(w1)},{format_point(w2)}): "
-                        f"observation says {accepted}, edge says {not accepted}",
+                        f"observation says {accepted}, edge says {not accepted}"
                     )
     shared_set = set(shared)
     for w in model.worlds:
         names = {v.name for v in g[w]}
         for p in sorted(shared_set):
             if (p in names) != (p in model.valuation[w]):
-                return MorphismReport(
-                    False, f"C2 fails at {format_point(w)} on atom {p}"
-                )
+                return f"C2 fails at {format_point(w)} on atom {p}"
     states = set(structure.states())
     image = {frozenset(g[w]) for w in model.worlds}
     for s in sorted(states - image, key=lambda s: sorted(v.name for v in s)):
         label = ",".join(sorted(v.name for v in s))
-        return MorphismReport(False, f"C3 fails: state {{{label}}} has no g-preimage")
+        return f"C3 fails: state {{{label}}} has no g-preimage"
     for s in sorted(image - states, key=lambda s: sorted(v.name for v in s)):
         label = ",".join(sorted(v.name for v in s))
-        return MorphismReport(False, f"C3 fails: g-image {{{label}}} is not a state")
-    return MorphismReport(True)
+        return f"C3 fails: g-image {{{label}}} is not a state"
+    return None
 
 
 # -- instance generation -------------------------------------------------------
@@ -510,11 +497,9 @@ def _compare_update(
         )
 
     states = {(w, a): g(w, a) for (w, a) in product.worlds}
-    report = check_morphism(update.structure, product, model.vocabulary, states)
-    if not report.ok:
-        return report.detail
-    if not executable:
-        return None
+    failure = check_morphism(update.structure, product, model.vocabulary, states)
+    if failure is not None or not executable:
+        return failure
 
     evaluator = GlobalEvaluator(product)
     translator = update.structure.translator

@@ -6,7 +6,8 @@ CHECK queries.  translate converts between the two update descriptions
 (an EVENT block into an ACTION block and back); for either target it
 checks every EVENT block and every CHECK as check does, except that the
 events need not be executable.  prove runs the seeded equivalence
-suites between the symbolic and the explicit pipeline.
+suites between the symbolic and the explicit pipeline, on instances
+drawn within the bounds its flags set.
 
 Exit codes: 0 success, 1 a failed CHECK expectation or a found
 counterexample, 2 bad input.  main alone turns bad input into exit 2:
@@ -32,7 +33,7 @@ from .bridge import (
     generate_scene,
     generate_scene_event,
     run_suite,
-    trf,
+    trf_with_labels,
 )
 from .errors import ParseError, SymdelError
 from .explicit import format_model
@@ -52,6 +53,15 @@ from .symbolic import Event, Scene, scene_eval, transform_with_copies
 # variables (and, without OBS+, a relation over all pairs of them):
 # 11 variables already print 168 MB
 MAX_ACTION_EVENT_VARS = 10
+
+# prove's bounds.  The Kripke models of the checks grow as 2^vars:
+# 20 seeds at --max-vars 10 took 30 s and 509 MB, and at 12 the process
+# was killed.  The formula battery grows 2 x agents-fold per level of
+# --depth: over 4 atoms and 2 agents it holds 6,138 formulas at depth 4
+# and 98,298 at depth 6.  At the caps, 5 seeds take 15 s and 166 MB.
+MAX_PROVE_VARS = 8
+MAX_PROVE_AGENTS = 4
+MAX_PROVE_DEPTH = 4
 
 
 def format_scene(scene: Scene, heading: str, memo: dict | None = None) -> str:
@@ -167,7 +177,8 @@ def run_translate(args) -> int:
             raise SymdelError("translate --to transformer needs an ACTION block")
         engine = Engine()
         action, designated = build_action(scenario.action, scenario, engine)
-        body = format_event_block(*trf(engine, action, designated))
+        transformer, actual, _ = trf_with_labels(engine, action, designated)
+        body = format_event_block(transformer, actual)
         _compile_checks(scenario)
     if scenario.agents:
         print("AGENTS " + " ".join(scenario.agents))
@@ -214,8 +225,16 @@ def _print_instance(part: str, seed: int, bounds: Bounds) -> None:
         print(format_action_block(action, designated))
 
 
+def _check_range(flag: str, value: int, cap: int) -> None:
+    if not 1 <= value <= cap:
+        raise SymdelError(f"{flag} must be between 1 and {cap}, got {value}")
+
+
 def run_prove(args) -> int:
-    bounds = Bounds()
+    _check_range("--max-vars", args.max_vars, MAX_PROVE_VARS)
+    _check_range("--agents", args.agents, MAX_PROVE_AGENTS)
+    _check_range("--depth", args.depth, MAX_PROVE_DEPTH)
+    bounds = Bounds(args.max_vars, args.agents)
     total = SuiteReport()
     for part in SUITE_PARTS:
         start = time.perf_counter()
@@ -282,7 +301,18 @@ def main(argv=None) -> int:
     )
     prove.add_argument("--seed", type=int, default=0)
     prove.add_argument("--count", type=int, default=500)
-    prove.add_argument("--depth", type=int, default=2)
+    prove.add_argument(
+        "--depth", type=int, default=2, help="modal depth of the checked formulas"
+    )
+    prove.add_argument(
+        "--max-vars",
+        type=int,
+        default=Bounds.max_vocab,
+        help="largest vocabulary drawn; every size from 1 up is drawn",
+    )
+    prove.add_argument(
+        "--agents", type=int, default=Bounds.max_agents, help="most agents drawn"
+    )
     prove.set_defaults(run=run_prove)
 
     args = parser.parse_args(argv)

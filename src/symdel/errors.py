@@ -38,7 +38,3 @@ class NotExecutable(SymdelError):
 
 class NotDetermined(SymdelError):
     """A variable scheduled for removal is not fixed by the state law."""
-
-
-class PointEliminated(SymdelError):
-    """Product update removed the designated world."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Mapping
 
 from .boolfun import BoolFn, Engine
-from .errors import EvalError, PointEliminated, VocabularyError
+from .errors import EvalError, VocabularyError
 from .language import (
     TOP,
     And,
@@ -295,21 +295,6 @@ def product_update(model: KripkeModel, action: ActionModel) -> KripkeModel:
             if (w, a) in pair_set and (v, b) in pair_set
         )
     return KripkeModel(model.vocabulary, tuple(pairs), relations, valuation)
-
-
-def product_update_pointed(
-    pointed: PointedModel, action: ActionModel, event: EventId
-) -> PointedModel:
-    """Pointed product update; fails when the designated pair is eliminated."""
-    if event not in action.pre:
-        raise VocabularyError(f"unknown event: {event!r}")
-    product = product_update(pointed.model, action)
-    point = (pointed.point, event)
-    if point not in product.valuation:
-        raise PointEliminated(
-            f"precondition of event {format_point(event)} fails at the actual world"
-        )
-    return PointedModel(product, point)
 
 
 # -- structures <-> models ---------------------------------------------------

@@ -32,6 +32,11 @@ from .language import Box, Formula, compile_formula, compile_with, is_boolean
 State = frozenset[VarId]
 
 
+def _name_list(variables) -> str:
+    """The variables' names, sorted and comma-separated, for a message."""
+    return ", ".join(sorted(v.name for v in variables))
+
+
 def _check_plain_distinct(variables, what):
     seen = set()
     for v in variables:
@@ -60,8 +65,9 @@ class BeliefStructure:
             raise VocabularyError("state law built in a different engine")
         stray = self.law.support() - vocab
         if stray:
-            names = ", ".join(sorted(v.name for v in stray))
-            raise VocabularyError(f"state law mentions non-vocabulary variables: {names}")
+            raise VocabularyError(
+                f"state law mentions non-vocabulary variables: {_name_list(stray)}"
+            )
         allowed = vocab | {self.engine.primed(v) for v in self.vocabulary}
         for agent, obs in self.observations.items():
             if obs.engine is not self.engine:
@@ -70,10 +76,9 @@ class BeliefStructure:
                 )
             stray = obs.support() - allowed
             if stray:
-                names = ", ".join(sorted(v.name for v in stray))
                 raise VocabularyError(
                     f"observation function of {agent} mentions "
-                    f"non-vocabulary variables: {names}"
+                    f"non-vocabulary variables: {_name_list(stray)}"
                 )
 
     @property
@@ -106,8 +111,9 @@ class Scene:
         object.__setattr__(self, "state", frozenset(self.state))
         stray = self.state - set(self.structure.vocabulary)
         if stray:
-            names = ", ".join(sorted(v.name for v in stray))
-            raise VocabularyError(f"state uses non-vocabulary variables: {names}")
+            raise VocabularyError(
+                f"state uses non-vocabulary variables: {_name_list(stray)}"
+            )
         if not self.structure.law.holds(self.state):
             raise VocabularyError("the designated state violates the state law")
 
@@ -154,10 +160,9 @@ class Transformer:
             for agent, obs in self.event_obs.items():
                 stray = obs.support() - allowed
                 if stray:
-                    names = ", ".join(sorted(v.name for v in stray))
                     raise VocabularyError(
                         f"event observation of {agent} mentions variables "
-                        f"other than the event variables: {names}"
+                        f"other than the event variables: {_name_list(stray)}"
                     )
 
     @property
@@ -176,8 +181,9 @@ class Event:
         object.__setattr__(self, "actual", frozenset(self.actual))
         stray = self.actual - set(self.transformer.add_vocab)
         if stray:
-            names = ", ".join(sorted(v.name for v in stray))
-            raise VocabularyError(f"actual event sets non-event variables: {names}")
+            raise VocabularyError(
+                f"actual event sets non-event variables: {_name_list(stray)}"
+            )
 
 
 class Translator:
@@ -263,16 +269,26 @@ class Update(NamedTuple):
         return frozenset(out)
 
 
-def compile_event_law(structure: BeliefStructure, transformer: Transformer) -> BoolFn:
+def _event_env(structure: BeliefStructure, transformer: Transformer) -> dict:
+    """Atom-name binding for the structure's vocabulary and the event variables."""
+    env = structure.env()
+    env.update({v.name: v for v in transformer.add_vocab})
+    return env
+
+
+def compile_event_law(
+    structure: BeliefStructure, transformer: Transformer, env: dict | None = None
+) -> BoolFn:
     """The transformer's event law as a function over the structure's
-    vocabulary and the event variables.
+    vocabulary and the event variables; env is their binding
+    (`_event_env`), for a caller that has built it already.
 
     Where the structure's law holds at a state, the event with actual
     event variables x is executable exactly when this function holds at
     the state together with x.
     """
-    env = structure.env()
-    env.update({v.name: v for v in transformer.add_vocab})
+    if env is None:
+        env = _event_env(structure, transformer)
     # Belief operators go to the structure's translator, whose binding
     # leaves the event variables out, so one under a belief operator is
     # an unbound atom; the lambda primes the law only when one occurs.
@@ -302,12 +318,14 @@ def transform_with_copies(
     vocab = set(structure.vocabulary)
     overlap = set(transformer.add_vocab) & vocab
     if overlap:
-        names = ", ".join(sorted(v.name for v in overlap))
-        raise VocabularyError(f"event variables already in the vocabulary: {names}")
+        raise VocabularyError(
+            f"event variables already in the vocabulary: {_name_list(overlap)}"
+        )
     stray = set(transformer.modified) - vocab
     if stray:
-        names = ", ".join(sorted(v.name for v in stray))
-        raise VocabularyError(f"modified variables outside the vocabulary: {names}")
+        raise VocabularyError(
+            f"modified variables outside the vocabulary: {_name_list(stray)}"
+        )
     if set(transformer.event_obs) != set(structure.observations):
         raise VocabularyError(
             "transformer and structure disagree on the agents"
@@ -318,9 +336,8 @@ def transform_with_copies(
                 f"event observation of {agent} built in a different engine"
             )
 
-    law_event = compile_event_law(structure, transformer)
-    env = structure.env()
-    env.update({v.name: v for v in transformer.add_vocab})
+    env = _event_env(structure, transformer)
+    law_event = compile_event_law(structure, transformer, env)
     change_fns = {
         v: compile_formula(phi, env, engine)
         for v, phi in transformer.change_laws.items()

@@ -14,7 +14,6 @@ from symdel.boolfun import Engine
 from symdel.bridge import (
     Bounds,
     Counterexample,
-    MorphismReport,
     SuiteReport,
     act,
     check_minimization,
@@ -29,7 +28,6 @@ from symdel.bridge import (
     generate_scene,
     generate_scene_event,
     run_suite,
-    trf,
     trf_with_labels,
 )
 from symdel.errors import NotExecutable, VocabularyError
@@ -209,7 +207,7 @@ def test_trf_single_event_action_needs_no_labels():
     announce = ActionModel(
         ("e",), {"a": {("e", "e")}}, {"e": parse("[a] p")}
     )
-    transformer, actual = trf(engine, announce, "e")
+    transformer, actual, _ = trf_with_labels(engine, announce, "e")
     assert transformer.add_vocab == ()
     assert actual == frozenset()
     assert transformer.modified == ()
@@ -220,7 +218,7 @@ def test_trf_single_event_action_needs_no_labels():
 def test_trf_unknown_designated_event():
     engine = Engine()
     with pytest.raises(VocabularyError):
-        trf(engine, flip_action(), "a3")
+        trf_with_labels(engine, flip_action(), "a3")
 
 
 def test_changed_props_is_syntactic():
@@ -233,7 +231,7 @@ def test_changed_props_is_syntactic():
 
     engine = Engine()
     p = engine.variable("p")
-    transformer, _ = trf(engine, spelled, "e")
+    transformer, _, _ = trf_with_labels(engine, spelled, "e")
     assert transformer.modified == (p,)
     change_fn = compile_formula(transformer.change_laws[p], {"p": p}, engine)
     assert change_fn == engine.atom(p)
@@ -253,9 +251,7 @@ def test_check_morphism_accepts_the_state_model():
     structure = coin_scene(engine).structure
     model = model_of_structure(structure)
     g = {w: frozenset(structure.env()[p] for p in w) for w in model.worlds}
-    report = check_morphism(structure, model, ("p",), g)
-    assert report.ok
-    assert report.detail == ""
+    assert check_morphism(structure, model, ("p",), g) is None
 
 
 def test_check_morphism_rejects_each_condition():
@@ -270,48 +266,47 @@ def test_check_morphism_rejects_each_condition():
     valuation = {w: w for w in worlds}
 
     model = KripkeModel(("p",), worlds, {"a": good_rel}, valuation)
-    assert check_morphism(structure, model, ("p",), states).ok
+    assert check_morphism(structure, model, ("p",), states) is None
 
     # C1: an edge the observation function rejects
     cross = KripkeModel(
         ("p",), worlds, {"a": good_rel | {worlds}}, valuation
     )
-    report = check_morphism(structure, cross, ("p",), states)
-    assert not report.ok and "C1" in report.detail
+    assert check_morphism(structure, cross, ("p",), states) == (
+        "C1 fails for a at ({},{p}): observation says False, edge says True"
+    )
 
     # C2: the map contradicts the valuation on a shared atom
     swapped = {worlds[0]: states[worlds[1]], worlds[1]: states[worlds[0]]}
-    report = check_morphism(structure, model, ("p",), swapped)
-    assert not report.ok and "C2" in report.detail
+    assert check_morphism(structure, model, ("p",), swapped) == (
+        "C2 fails at {} on atom p"
+    )
 
     # C3: a state without preimage
     half = KripkeModel(
         ("p",), worlds[:1], {"a": frozenset({(worlds[0], worlds[0])})},
         {worlds[0]: worlds[0]},
     )
-    report = check_morphism(structure, half, ("p",), states)
-    assert not report.ok and "C3" in report.detail
+    assert check_morphism(structure, half, ("p",), states) == (
+        "C3 fails: state {p} has no g-preimage"
+    )
 
     # C3 the other way: an image that is not a state
     law_p = BeliefStructure(engine, (p,), fp, {"a": watch})
-    only_p = KripkeModel(
-        ("p",), (worlds[1],), {"a": frozenset({(worlds[1], worlds[1])})},
-        {worlds[1]: worlds[1]},
+    assert check_morphism(law_p, model, ("p",), states) == (
+        "C3 fails: g-image {} is not a state"
     )
-    bad_image = {worlds[1]: frozenset()}
-    report = check_morphism(law_p, only_p, (), bad_image)
-    assert not report.ok and "C3" in report.detail
 
     # map not even defined or out of vocabulary
-    report = check_morphism(structure, model, ("p",), {})
-    assert not report.ok and "undefined" in report.detail
+    assert check_morphism(structure, model, ("p",), {}) == "g undefined on world {}"
     q = engine.variable("q")
     stray = {w: frozenset({q}) for w in worlds}
-    report = check_morphism(structure, model, ("p",), stray)
-    assert not report.ok and "vocabulary" in report.detail
+    assert check_morphism(structure, model, ("p",), stray) == (
+        "g({}) leaves the vocabulary"
+    )
 
 
-def _broken_part_i(scene, event) -> MorphismReport:
+def _broken_part_i(scene, event) -> str | None:
     """check_part_i with a sabotaged update: the observation functions are
     conjoined with the event observations without renaming the modified
     variables to their snapshots."""
@@ -345,14 +340,13 @@ def _broken_part_i(scene, event) -> MorphismReport:
 
 def test_skipping_the_snapshot_renaming_is_caught():
     engine = Engine()
-    report = _broken_part_i(coin_scene(engine), coin_event(engine))
-    assert not report.ok
-    assert "C1" in report.detail
+    failure = _broken_part_i(coin_scene(engine), coin_event(engine))
+    assert failure is not None and failure.startswith("C1 fails")
 
     caught = 0
     for seed in range(50):
         scene, event = generate_scene_event(seed)
-        if not _broken_part_i(scene, event).ok:
+        if _broken_part_i(scene, event) is not None:
             caught += 1
     assert caught >= 10
 

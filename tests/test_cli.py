@@ -621,6 +621,55 @@ def test_prove_prints_the_minimal_failing_instance(capsys, monkeypatch, part, fi
         assert block in instance
 
 
+def test_prove_bounds_flags_reach_the_suite_and_the_printed_instance(capsys, monkeypatch):
+    seen = []
+
+    def broken(seed, bounds, depth):
+        seen.append(bounds)
+        return "broken", 1
+
+    monkeypatch.setitem(bridge.SUITE_PARTS, "minimization", broken)
+    code, out, _ = run(capsys, "prove", "--count", "1", "--max-vars", "6", "--agents", "3")
+    assert code == 1
+    assert seen == [bridge.Bounds(6, 3)]
+    # seed 0 at these bounds draws 6 variables and 3 agents, more than Bounds() allows
+    scene = bridge.generate_scene(0, bridge.Bounds(6, 3))
+    assert (len(scene.structure.vocabulary), len(scene.structure.agents)) == (6, 3)
+    instance = out.split("minimal failing instance: part minimization, seed 0\n  broken\n")[1]
+    assert instance == cli.format_scene(scene, "scene") + "\n"
+
+
+def test_prove_defaults_are_the_default_bounds(capsys, monkeypatch):
+    seen = []
+
+    def record(**kwargs):
+        seen.append(kwargs["bounds"])
+        return bridge.SuiteReport(checked={kwargs["parts"][0]: 0})
+
+    monkeypatch.setattr(cli, "run_suite", record)
+    assert run(capsys, "prove", "--count", "1")[0] == 0
+    assert seen == [bridge.Bounds()] * len(bridge.SUITE_PARTS)
+
+
+@pytest.mark.parametrize(
+    "flag, value, cap",
+    [
+        ("--max-vars", "0", 8),
+        ("--max-vars", "9", 8),
+        ("--agents", "0", 4),
+        ("--agents", "5", 4),
+        ("--depth", "0", 4),
+        ("--depth", "-1", 4),
+        ("--depth", "5", 4),
+    ],
+)
+def test_prove_rejects_out_of_range_bounds(capsys, monkeypatch, flag, value, cap):
+    monkeypatch.setattr(cli, "run_suite", None)  # nothing may run
+    code, out, err = run(capsys, "prove", flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"prove: {flag} must be between 1 and {cap}, got {value}\n"
+
+
 def test_prove_error_names_the_command(capsys, monkeypatch):
     # prove reads no file, so its errors cannot be prefixed with one
     def fail(**_):
