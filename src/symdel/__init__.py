@@ -81,7 +81,6 @@ from .symbolic import (
     apply_event,
     compile_event_law,
     minimize,
-    minimize_scene,
     scene_eval,
     shrink,
     shrink_scene,
@@ -114,6 +113,6 @@ __all__ = [
     # symbolic
     "BeliefStructure", "Event", "Scene", "Transformer", "Update",
     "apply_event", "compile_event_law",
-    "minimize", "minimize_scene", "scene_eval", "shrink", "shrink_scene",
+    "minimize", "scene_eval", "shrink", "shrink_scene",
     "transform_with_copies",
 ]

@@ -634,7 +634,7 @@ def _roundtrip_part(seed: int, bounds: Bounds, depth: int) -> tuple[str | None, 
 
 def _translation_part(seed: int, bounds: Bounds, depth: int) -> tuple[str | None, int]:
     scene = generate_scene(seed, bounds)
-    formulas = generate_formulas(seed, scene.structure)
+    formulas = generate_formulas(seed, scene.structure, depth=depth)
     return check_translation(scene, formulas), len(scene.structure.vocabulary)
 
 
@@ -667,10 +667,6 @@ class Counterexample:
 class SuiteReport:
     checked: dict[str, int] = field(default_factory=dict)
     failures: list[Counterexample] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     def minimal_failure(self) -> Counterexample | None:
         if not self.failures:

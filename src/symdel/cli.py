@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 import time
-from contextlib import contextmanager
 
 from .boolfun import Engine
 from .bridge import (
@@ -39,6 +38,7 @@ from .errors import ParseError, SymdelError
 from .explicit import format_model
 from .language import format_formula, recover_formula
 from .scenario import (
+    at_line,
     build_action,
     build_event,
     build_scene,
@@ -87,15 +87,6 @@ def _scene_json(scene: Scene, memo: dict | None = None) -> dict:
     }
 
 
-@contextmanager
-def _at_line(line: int):
-    """Report a SymdelError raised inside as a ParseError at `line`."""
-    try:
-        yield
-    except SymdelError as error:
-        raise ParseError(str(error), line=line) from error
-
-
 def run_check(args) -> int:
     scenario = load_scenario(args.file)
     scene = build_scene(scenario, Engine())
@@ -112,7 +103,7 @@ def run_check(args) -> int:
     memo = {}  # recovered formulas of the printed functions and their factors
     for spec in scenario.checks:
         index = spec.after if spec.after is not None else len(scenario.events)
-        with _at_line(spec.line):
+        with at_line(spec.line):
             value = scene_eval(scenes[index], spec.formula)
         ok = None if spec.expect is None else value == spec.expect
         if ok is False:
@@ -207,7 +198,7 @@ def _compile_checks(scenario) -> list[Event]:
         events.append(event)
     for spec in scenario.checks:
         index = spec.after if spec.after is not None else len(scenario.events)
-        with _at_line(spec.line):
+        with at_line(spec.line):
             structures[index].translator.fn(spec.formula)
     return events
 
@@ -234,6 +225,8 @@ def run_prove(args) -> int:
     _check_range("--max-vars", args.max_vars, MAX_PROVE_VARS)
     _check_range("--agents", args.agents, MAX_PROVE_AGENTS)
     _check_range("--depth", args.depth, MAX_PROVE_DEPTH)
+    if args.count < 0:
+        raise SymdelError(f"--count must be at least 0, got {args.count}")
     bounds = Bounds(args.max_vars, args.agents)
     total = SuiteReport()
     for part in SUITE_PARTS:

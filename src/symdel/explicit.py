@@ -222,10 +222,6 @@ class ActionModel:
                         f"postcondition {prop} of {a!r} is not belief-free"
                     )
 
-    @property
-    def agents(self) -> tuple[str, ...]:
-        return tuple(self.relations)
-
     def post_formula(self, event: EventId, prop: str) -> Formula:
         return self.post.get(event, {}).get(prop, Atom(prop))
 

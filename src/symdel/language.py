@@ -14,7 +14,7 @@ optional generation number) and by a prime.  `Top` and `Bot` are the
 constants.  `@o` may be written for the degree sign on keyboards
 without one, so `t@o` and `t°` parse the same.
 
-The walkers (`subformulas`, `map_atoms`, the printer and the compiler)
+The walkers (`subformulas`, `substitute`, the printer and the compiler)
 dispatch on the exact class of a node; no node class is subclassed.
 The compiler works on the engine's diagram nodes: each connective is a
 direct call of its if-then-else kernel, and only the result is wrapped
@@ -189,40 +189,34 @@ def is_boolean(formula: Formula) -> bool:
     return not any(isinstance(phi, Box) for phi in subformulas(formula))
 
 
-def map_atoms(formula: Formula, fn: Callable[[Atom], Formula]) -> Formula:
-    """The formula with every atom node replaced by fn(atom).
+def substitute(formula: Formula, binding: Mapping[str, Formula]) -> Formula:
+    """Simultaneous substitution of formulas for atoms.
 
     A node none of whose children changes is returned itself, so only
-    the part above a changed atom is built anew.
+    the part above a substituted atom is built anew.
     """
-
     kind = type(formula)
     if kind is Atom:
-        return fn(formula)
+        return binding.get(formula.name, formula)
     if kind is Not or kind is Box:
         body = formula.body
-        new = map_atoms(body, fn)
+        new = substitute(body, binding)
         if new is body:
             return formula
         return Not(new) if kind is Not else Box(formula.agent, new)
     if kind is And or kind is Or:
         parts = formula.parts
-        new = tuple(map_atoms(p, fn) for p in parts)
+        new = tuple(substitute(p, binding) for p in parts)
         if all(a is b for a, b in zip(new, parts)):
             return formula
         return kind(new)
     if kind is Implies or kind is Iff:
         a, b = formula.left, formula.right
-        new_a, new_b = map_atoms(a, fn), map_atoms(b, fn)
+        new_a, new_b = substitute(a, binding), substitute(b, binding)
         if new_a is a and new_b is b:
             return formula
         return kind(new_a, new_b)
     return formula
-
-
-def substitute(formula: Formula, binding: Mapping[str, Formula]) -> Formula:
-    """Simultaneous substitution of formulas for atoms."""
-    return map_atoms(formula, lambda atom: binding.get(atom.name, atom))
 
 
 def subset_formula(present, universe) -> Formula:

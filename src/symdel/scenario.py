@@ -46,10 +46,11 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .boolfun import Engine
-from .errors import ParseError
+from .errors import ParseError, SymdelError
 from .explicit import ActionModel, format_point
 from .language import (
     TOP,
@@ -58,6 +59,7 @@ from .language import (
     atoms_of,
     compile_formula,
     format_formula,
+    is_boolean,
     parse,
     recover_formula,
 )
@@ -295,6 +297,31 @@ def _line(lines: dict, fallback: int | None, word: str, *key: str) -> int | None
     )
 
 
+@contextmanager
+def at_line(line: int | None):
+    """Report a SymdelError raised inside as a ParseError at `line`."""
+    try:
+        yield
+    except SymdelError as error:
+        raise ParseError(str(error), line=line) from error
+
+
+def _check_names(formulas, lines: dict, fallback: int, atoms, agents) -> None:
+    """Raise a ParseError for the first formula that names an atom outside
+    `atoms` or an agent outside `agents`, at the line that gives it;
+    `formulas` pairs each formula with its keyword and key in `lines`."""
+    for given, phi in formulas:
+        for what, stray in (
+            ("unbound atom", atoms_of(phi) - atoms),
+            ("unknown agent", agents_of(phi) - agents),
+        ):
+            if stray:
+                raise ParseError(
+                    f"{what}: {', '.join(sorted(stray))}",
+                    line=_line(lines, fallback, *given),
+                )
+
+
 def _validate(scenario: Scenario) -> None:
     agents = set(scenario.agents)
     declared = set(scenario.vars)
@@ -372,13 +399,15 @@ def build_scene(scenario: Scenario, engine: Engine) -> Scene:
     """The initial scene of the scenario, in the given engine."""
     vocab = tuple(engine.variable(name) for name in scenario.vars)
     env = {v.name: v for v in vocab}
-    law = compile_formula(scenario.law, env, engine)
+    with at_line(scenario.lines.get(("LAW", ()))):
+        law = compile_formula(scenario.law, env, engine)
     full_env = dict(env)
     full_env.update({engine.primed(v).name: engine.primed(v) for v in vocab})
     observations = {}
     for agent in scenario.agents:
         phi = scenario.obs.get(agent, TOP)
-        observations[agent] = compile_formula(phi, full_env, engine)
+        with at_line(scenario.lines.get(("OBS", (agent,)))):
+            observations[agent] = compile_formula(phi, full_env, engine)
     structure = BeliefStructure(engine, vocab, law, observations)
     state = frozenset(env[name] for name in scenario.state)
     return Scene(structure, state)
@@ -387,14 +416,20 @@ def build_scene(scenario: Scenario, engine: Engine) -> Scene:
 def build_event(
     spec: EventSpec, structure: BeliefStructure, engine: Engine
 ) -> Event:
-    """Build the event of one EVENT block against the current structure."""
+    """Build the event of one EVENT block against the current structure.
+
+    An atom or agent that the structure and the event variables do not
+    declare is a ParseError at its line, as is a CHANGE that is not
+    belief-free; an event variable under a belief operator in PRE is
+    found only when the event law is compiled.
+    """
     add = tuple(engine.variable(name) for name in spec.add)
     obs_env = {v.name: v for v in add}
     obs_env.update({engine.primed(v).name: engine.primed(v) for v in add})
-    event_obs = {}
-    for agent in structure.agents:
-        phi = spec.obs.get(agent, TOP)
-        event_obs[agent] = compile_formula(phi, obs_env, engine)
+    event_obs = dict.fromkeys(structure.agents, engine.true)
+    for agent, phi in spec.obs.items():
+        with at_line(spec.lines["OBS+", (agent,)]):
+            event_obs[agent] = compile_formula(phi, obs_env, engine)
     env = structure.env()
     modified = []
     changes = {}
@@ -403,10 +438,20 @@ def build_event(
         if var is None:
             raise ParseError(
                 f"CHANGE of a variable outside the vocabulary: {name}",
-                line=_line(spec.lines, spec.line, "CHANGE", name),
+                line=spec.lines["CHANGE", (name,)],
+            )
+        if not is_boolean(phi):
+            raise ParseError(
+                f"change law of {name} is not belief-free",
+                line=spec.lines["CHANGE", (name,)],
             )
         modified.append(var)
         changes[var] = phi
+    formulas = [(("PRE",), spec.pre)]
+    formulas += [(("CHANGE", name), phi) for name, phi in spec.changes]
+    _check_names(
+        formulas, spec.lines, spec.line, set(env) | set(spec.add), set(structure.agents)
+    )
     transformer = Transformer(add, spec.pre, tuple(modified), changes, event_obs)
     actual = frozenset(engine.variable(name) for name in spec.assign)
     return Event(transformer, actual)
@@ -451,16 +496,7 @@ def build_action(
                     line=_line(spec.lines, spec.line, "POST", eid, name),
                 )
             formulas.append((("POST", eid, name), phi))
-    for given, phi in formulas:
-        for what, stray in (
-            ("unbound atom", atoms_of(phi) - declared),
-            ("unknown agent", agents_of(phi) - set(scenario.agents)),
-        ):
-            if stray:
-                raise ParseError(
-                    f"{what}: {', '.join(sorted(stray))}",
-                    line=_line(spec.lines, spec.line, *given),
-                )
+    _check_names(formulas, spec.lines, spec.line, declared, set(scenario.agents))
     for name in scenario.vars:
         engine.variable(name)
     relations = {

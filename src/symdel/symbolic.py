@@ -165,10 +165,6 @@ class Transformer:
                         f"other than the event variables: {_name_list(stray)}"
                     )
 
-    @property
-    def agents(self) -> tuple[str, ...]:
-        return tuple(self.event_obs)
-
 
 @dataclass(frozen=True, eq=False)
 class Event:
@@ -276,25 +272,20 @@ def _event_env(structure: BeliefStructure, transformer: Transformer) -> dict:
     return env
 
 
-def compile_event_law(
-    structure: BeliefStructure, transformer: Transformer, env: dict | None = None
-) -> BoolFn:
+def compile_event_law(structure: BeliefStructure, transformer: Transformer) -> BoolFn:
     """The transformer's event law as a function over the structure's
-    vocabulary and the event variables; env is their binding
-    (`_event_env`), for a caller that has built it already.
+    vocabulary and the event variables.
 
     Where the structure's law holds at a state, the event with actual
     event variables x is executable exactly when this function holds at
     the state together with x.
     """
-    if env is None:
-        env = _event_env(structure, transformer)
     # Belief operators go to the structure's translator, whose binding
     # leaves the event variables out, so one under a belief operator is
     # an unbound atom; the lambda primes the law only when one occurs.
     return compile_with(
         transformer.event_law,
-        env,
+        _event_env(structure, transformer),
         structure.engine,
         lambda box: structure.translator.fn(box),
     )
@@ -336,8 +327,8 @@ def transform_with_copies(
                 f"event observation of {agent} built in a different engine"
             )
 
+    law_event = compile_event_law(structure, transformer)
     env = _event_env(structure, transformer)
-    law_event = compile_event_law(structure, transformer, env)
     change_fns = {
         v: compile_formula(phi, env, engine)
         for v, phi in transformer.change_laws.items()
@@ -437,11 +428,6 @@ def minimize(
                 f"variable {v.name} is not determined by the state law"
             )
     return reduced
-
-
-def minimize_scene(scene: Scene, keep: Iterable[VarId] = ()) -> Scene:
-    reduced = minimize(scene.structure, keep)
-    return Scene(reduced, scene.state & frozenset(reduced.vocabulary))
 
 
 def shrink_scene(scene: Scene, keep: Iterable[VarId] = ()) -> Scene:

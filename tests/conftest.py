@@ -19,7 +19,7 @@ from symdel.language import (
     Or,
     Top,
 )
-from symdel.symbolic import Scene
+from symdel.symbolic import Scene, minimize
 
 
 def bf_truth(formula, true_set):
@@ -91,6 +91,13 @@ def scene_eval_enum(scene, formula):
             return True
         case _:
             raise TypeError(f"not a formula: {formula!r}")
+
+
+def minimize_scene(scene, keep=()):
+    """The scene with every variable outside keep minimized away
+    (`minimize`) and its state cut to the remaining vocabulary."""
+    reduced = minimize(scene.structure, keep)
+    return Scene(reduced, scene.state & frozenset(reduced.vocabulary))
 
 
 def truth_table(formula, atoms):

@@ -9,6 +9,7 @@ the pipeline down or changes any produced structure must show up red.
 import time
 from pathlib import Path
 
+from conftest import minimize_scene
 from symdel.boolfun import Engine
 from symdel.bridge import (
     act,
@@ -28,7 +29,6 @@ from symdel.symbolic import (
     Scene,
     Transformer,
     apply_event,
-    minimize_scene,
     scene_eval,
     transform_with_copies,
 )
@@ -73,6 +73,7 @@ def test_criterion_1_false_belief_scenario_end_to_end():
     final = scenes[4]
     assert scene_eval(final, parse("[Sally] t")) is True
     assert scene_eval(final, parse("t")) is False
+    assert scene_eval(final, parse("[Sally] [Anne] [Sally] t")) is True
 
     elapsed = time.perf_counter() - start
     assert elapsed < budget
@@ -145,7 +146,7 @@ def test_criterion_4_symbolic_update_matches_explicit_update():
     report = run_suite(seed=0, count=500, depth=2, parts=("event",))
     elapsed = time.perf_counter() - start
     worst = report.minimal_failure()
-    assert report.ok, f"seed {worst.seed}: {worst.detail}"
+    assert not report.failures, f"seed {worst.seed}: {worst.detail}"
     assert report.checked["event"] == 500
     assert elapsed < budget
     _report("criterion 4 (event vs action, 500 instances)", elapsed, budget)
@@ -157,7 +158,7 @@ def test_criterion_5_explicit_update_matches_encoded_transform():
     report = run_suite(seed=0, count=500, depth=2, parts=("action",))
     elapsed = time.perf_counter() - start
     worst = report.minimal_failure()
-    assert report.ok, f"seed {worst.seed}: {worst.detail}"
+    assert not report.failures, f"seed {worst.seed}: {worst.detail}"
     assert report.checked["action"] == 500
     assert elapsed < budget
     _report("criterion 5 (action vs transformer, 500 instances)", elapsed, budget)
@@ -169,7 +170,7 @@ def test_criterion_6_minimization_preserves_all_small_formulas():
     report = run_suite(seed=0, count=500, depth=2, parts=("minimization",))
     elapsed = time.perf_counter() - start
     worst = report.minimal_failure()
-    assert report.ok, f"seed {worst.seed}: {worst.detail}"
+    assert not report.failures, f"seed {worst.seed}: {worst.detail}"
     assert report.checked["minimization"] == 500
     assert elapsed < budget
     _report("criterion 6 (minimization, 500 structures)", elapsed, budget)

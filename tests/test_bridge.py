@@ -3,13 +3,18 @@
 The coin flip is traced through both directions of the translation and
 pinned against the explicit action model.  The harness tests include a
 deliberately broken update (observations conjoined without snapshot
-renaming) to show the morphism check actually has teeth.
+renaming) to show the morphism check actually has teeth, and replay
+chains of events, scenario files included, against the explicit
+pipeline step by step.
 """
 
 import re
+from pathlib import Path
 
 import pytest
 
+from test_node_counts import coin_flips, sally_anne
+from symdel import bridge
 from symdel.boolfun import Engine
 from symdel.bridge import (
     Bounds,
@@ -40,7 +45,8 @@ from symdel.explicit import (
     model_of_structure,
     product_update,
 )
-from symdel.language import BOT, TOP, Atom, Not, compile_formula, parse
+from symdel.language import BOT, TOP, Atom, Not, atoms_of, compile_formula, parse
+from symdel.scenario import build_event, build_scene, parse_scenario
 from symdel.symbolic import (
     BeliefStructure,
     Event,
@@ -48,8 +54,11 @@ from symdel.symbolic import (
     Transformer,
     apply_event,
     compile_event_law,
+    scene_eval,
     transform_with_copies,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def coin_scene(engine: Engine) -> Scene:
@@ -473,6 +482,68 @@ def test_translation_agrees_on_random_structures():
         assert check_translation(scene, formulas) is None, seed
 
 
+def test_translation_part_draws_formulas_at_the_suite_depth(monkeypatch):
+    depths = []
+
+    def recording(seed, structure, count=6, depth=3):
+        depths.append(depth)
+        return generate_formulas(seed, structure, count, depth)
+
+    monkeypatch.setattr(bridge, "generate_formulas", recording)
+    for depth in (1, 4):
+        report = run_suite(seed=0, count=3, depth=depth, parts=("translation",))
+        assert not report.failures
+    assert depths == [1, 1, 1, 4, 4, 4]
+
+
+def _event_chains():
+    for path in sorted(SCENARIOS.glob("*.scn")):
+        yield pytest.param(path.read_text(encoding="utf-8"), id=path.stem)
+    yield pytest.param(sally_anne(2), id="sally_anne_2")
+    yield pytest.param(coin_flips(4), id="coin_flips_4")
+
+
+@pytest.mark.parametrize("text", _event_chains())
+def test_event_chain_matches_the_explicit_pipeline(text):
+    """Each event of the chain, unminimized, against the product update by
+    its action: the composed state map g_k(w, a) = post_state(g_{k-1}(w), a)
+    is a morphism, and the formula family and every CHECK over VARS agree
+    at the point."""
+    scenario = parse_scenario(text)
+    engine = Engine()
+    scene = build_scene(scenario, engine)
+    structure = scene.structure
+    model = model_of_structure(structure)
+    g = {w: frozenset(v for v in structure.vocabulary if v.name in w) for w in model.worlds}
+    point = frozenset(v.name for v in scene.state)
+    family = formula_family(scenario.vars, scenario.agents, 2)
+    steps = []
+    for k in range(len(scenario.events) + 1):
+        if k:
+            event = build_event(scenario.events[k - 1], structure, engine)
+            update = transform_with_copies(structure, event.transformer)
+            action, designated = act(event)
+            model = product_update(model, action)
+            named = {v.name: v for v in event.transformer.add_vocab}
+            g = {
+                (w, a): update.post_state(g[w], frozenset(named[n] for n in a))
+                for w, a in model.worlds
+            }
+            structure, point = update.structure, (point, designated)
+        assert check_morphism(structure, model, scenario.vars, g) is None, k
+        scene = Scene(structure, g[point])
+        evaluator = GlobalEvaluator(model)
+        for phi in family:
+            assert scene_eval(scene, phi) == evaluator.satisfies(point, phi), (k, phi)
+        steps.append((scene, evaluator, point))
+    for check in scenario.checks:
+        if atoms_of(check.formula) <= set(scenario.vars):
+            k = len(scenario.events) if check.after is None else check.after
+            scene, evaluator, point = steps[k]
+            phi = check.formula
+            assert scene_eval(scene, phi) == evaluator.satisfies(point, phi), check.line
+
+
 def test_minimization_preserves_truth_on_random_structures():
     for seed in range(10):
         scene = generate_scene(seed)
@@ -484,7 +555,7 @@ def test_minimization_preserves_truth_on_random_structures():
 
 def test_run_suite_small():
     report = run_suite(seed=0, count=25)
-    assert report.ok
+    assert not report.failures
     assert report.checked == {
         "event": 25,
         "action": 25,
@@ -498,7 +569,7 @@ def test_run_suite_small():
 def test_run_suite_selected_parts():
     report = run_suite(seed=7, count=5, parts=("event",))
     assert report.checked == {"event": 5}
-    assert report.ok
+    assert not report.failures
 
 
 def test_suite_report_minimal_failure_ordering():
@@ -511,4 +582,4 @@ def test_suite_report_minimal_failure_ordering():
     best = report.minimal_failure()
     assert best is not None
     assert (best.size, best.seed) == (2, 3)
-    assert not report.ok
+    assert report.failures

@@ -513,6 +513,38 @@ def test_translate_rejects_undeclared_names(tmp_path, capsys, target, block, nam
     assert err.rstrip().endswith(f": {name}")
 
 
+@pytest.mark.parametrize(
+    "body, step, error",
+    [
+        ("LAW q\nEVENT\n", "", "line 3: unbound atom: q"),
+        ("OBS a: q\nEVENT\n", "", "line 3: unbound atom: q"),
+        ("EVENT\nCHANGE p := z\n", "step 1: ", "line 4: unbound atom: z"),
+        ("EVENT\nPRE [b] p\n", "step 1: ", "line 4: unknown agent: b"),
+        (
+            "OBS a: [a] p\nEVENT\n",
+            "",
+            "line 3: belief operator [a] in a boolean-only context",
+        ),
+        (
+            "EVENT\nCHANGE p := [a] x\n",
+            "step 1: ",
+            "line 4: change law of p is not belief-free",
+        ),
+        ("EVENT\nOBS+ a: q\n", "step 1: ", "line 4: unbound atom: q"),
+    ],
+    ids=[
+        "law", "obs", "change_atom", "pre_agent", "obs_belief", "change_belief", "obs_plus"
+    ],
+)
+def test_formula_errors_name_their_line(tmp_path, capsys, body, step, error):
+    path = tmp_path / "formula.scn"
+    path.write_text(f"AGENTS a\nVARS p\n{body}", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", f"{path}: {step}{error}\n")
+    code, out, err = run(capsys, "translate", str(path), "--to", "action")
+    assert (code, out, err) == (2, "", f"{path}: {error}\n")
+
+
 CHECK_HEAD = "AGENTS a\nVARS p\nLAW p\nSTATE p\nEVENT\nADDVARS x\nCHANGE p := x\nASSIGN x\n"
 
 
@@ -670,6 +702,13 @@ def test_prove_rejects_out_of_range_bounds(capsys, monkeypatch, flag, value, cap
     assert err == f"prove: {flag} must be between 1 and {cap}, got {value}\n"
 
 
+def test_prove_rejects_a_negative_count(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", None)  # nothing may run
+    assert run(capsys, "prove", "--count", "-5") == (
+        2, "", "prove: --count must be at least 0, got -5\n"
+    )
+
+
 def test_prove_error_names_the_command(capsys, monkeypatch):
     # prove reads no file, so its errors cannot be prefixed with one
     def fail(**_):
@@ -696,20 +735,3 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "check [a] p = false [ok]" in result.stdout
-
-
-@pytest.mark.parametrize("minimize", [True, False], ids=["minimize", "no_minimize"])
-def test_run_sally_anne_script(minimize):
-    flags = [] if minimize else ["--no-minimize"]
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_sally_anne.py"), *flags],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-    )
-    assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
-    assert "[Sally] t: True" in lines
-    assert "t: False" in lines
-    last = result.stdout.split("after event 4\n")[1].splitlines()
-    assert ("  vars: p t q" in last) == minimize

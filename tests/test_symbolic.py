@@ -12,7 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import epistemic_formulas, scene_eval_enum
+from conftest import epistemic_formulas, minimize_scene, scene_eval_enum
 from test_node_counts import coin_flips, sally_anne
 from symdel.boolfun import Engine
 from symdel.bridge import formula_family, generate_scene, generate_scene_event
@@ -43,7 +43,6 @@ from symdel.symbolic import (
     Translator,
     apply_event,
     minimize,
-    minimize_scene,
     scene_eval,
     shrink,
     shrink_scene,
