@@ -54,6 +54,7 @@ from .errors import ParseError, SymdelError
 from .explicit import ActionModel, format_point
 from .language import (
     TOP,
+    Box,
     Formula,
     agents_of,
     atoms_of,
@@ -62,6 +63,7 @@ from .language import (
     is_boolean,
     parse,
     recover_formula,
+    subformulas,
 )
 from .symbolic import (
     BeliefStructure,
@@ -419,9 +421,9 @@ def build_event(
     """Build the event of one EVENT block against the current structure.
 
     An atom or agent that the structure and the event variables do not
-    declare is a ParseError at its line, as is a CHANGE that is not
-    belief-free; an event variable under a belief operator in PRE is
-    found only when the event law is compiled.
+    declare is a ParseError at its line, as are a CHANGE that is not
+    belief-free and an event variable under a belief operator in PRE:
+    PRE's beliefs are about the structure before the event.
     """
     add = tuple(engine.variable(name) for name in spec.add)
     obs_env = {v.name: v for v in add}
@@ -449,9 +451,19 @@ def build_event(
         changes[var] = phi
     formulas = [(("PRE",), spec.pre)]
     formulas += [(("CHANGE", name), phi) for name, phi in spec.changes]
-    _check_names(
-        formulas, spec.lines, spec.line, set(env) | set(spec.add), set(structure.agents)
-    )
+    added = set(spec.add)
+    _check_names(formulas, spec.lines, spec.line, set(env) | added, set(structure.agents))
+    if added:
+        # preorder, so the first box found is the outermost at fault
+        for phi in subformulas(spec.pre):
+            if type(phi) is Box:
+                believed = atoms_of(phi.body) & added
+                if believed:
+                    raise ParseError(
+                        f"event variable under belief operator [{phi.agent}]: "
+                        f"{', '.join(sorted(believed))}",
+                        line=_line(spec.lines, spec.line, "PRE"),
+                    )
     transformer = Transformer(add, spec.pre, tuple(modified), changes, event_obs)
     actual = frozenset(engine.variable(name) for name in spec.assign)
     return Event(transformer, actual)

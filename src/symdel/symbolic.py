@@ -86,7 +86,14 @@ class BeliefStructure:
         return tuple(self.observations)
 
     def env(self) -> dict[str, VarId]:
-        """Atom-name binding for compiling formulas over the vocabulary."""
+        """Atom-name binding for compiling formulas over the vocabulary.
+
+        Built once per structure and shared by every caller, so it must
+        not be changed."""
+        return self._env
+
+    @cached_property
+    def _env(self) -> dict[str, VarId]:
         return {v.name: v for v in self.vocabulary}
 
     def states(self) -> list[State]:
@@ -182,20 +189,73 @@ class Event:
             )
 
 
+class _View(NamedTuple):
+    """What one agent's belief operators conjoin and quantify."""
+
+    relation: _Node  # the law (S5), or the relation law' & obs_i
+    levels: frozenset[int]  # V \ O_i (S5), or the primed vocabulary V'
+    last: int  # the largest of levels
+    primed: bool  # the general case primes each operator's body
+
+
+def _observed_levels(engine: Engine, node: _Node) -> list[int] | None:
+    """The levels of O when node is exactly AND_{p in O} (p <-> p'), in
+    diagram order; None when it is any other function.
+
+    Such a diagram is a chain down to true, one link per variable p of
+    O: a node testing plain p at level L whose children both test p' at
+    L + 1, the low one as (next, false) and the high one as
+    (false, next), with the same next link.  True is the empty chain.
+    The first node that breaks the pattern ends the walk.
+    """
+    e = engine._false
+    levels = []
+    while node.var is not None:
+        lo, hi, level = node.lo, node.hi, node.level
+        # the primed copy of the plain variable at L sits at L + 1
+        if (
+            node.var.primed
+            or lo.level != level + 1
+            or hi.level != level + 1
+            or lo.hi is not e
+            or hi.lo is not e
+            or lo.lo is not hi.hi
+        ):
+            return None
+        levels.append(level)
+        node = lo.lo
+    return levels if node is engine._true else None
+
+
 class Translator:
-    """Boolean translation of formulas against one belief structure.
+    r"""Boolean translation of formulas against one belief structure.
 
     `compile_with` compiles the boolean connectives and hands it each
-    belief operator.  A belief operator for agent i translates as
+    belief operator.  A belief operator for agent i translates in one
+    of two ways, each one relational product (`Engine._and_exists`):
 
-        K_i phi = ~ exists V' (law' & obs_i & ~phi')
+    - The S5 case, when obs_i is exactly AND_{p in O_i} (p <-> p'):
+      agent i observes the variables O_i, the structure is a knowledge
+      structure for i, and
 
-    no primed valuation satisfies the primed law and i's observation
-    function while falsifying the primed translation of the body.  The
-    relation law' & obs_i is built once per agent, on first use, and
-    each operator is one relational product (`Engine._and_exists`) over
-    the primed vocabulary.  The translation of each subformula is kept,
-    as its diagram node, for the life of the translator.
+          K_i phi = ~ exists (V \ O_i) (law & ~phi)
+
+      every state that agrees with this one on O_i satisfies phi.
+      Nothing is primed and no relation is built.
+    - The general case, for any other obs_i:
+
+          K_i phi = ~ exists V' (law' & obs_i & ~phi')
+
+      no primed valuation satisfies the primed law and i's observation
+      function while falsifying the primed translation of the body.
+      The relation law' & obs_i is built once per agent.
+
+    Where the S5 case applies, both give the same function, and so the
+    same diagram node.  The case is decided once per agent, on first
+    use, by one walk of obs_i's diagram (`_observed_levels`); the law
+    is primed only if some agent needs the general relation.  The
+    translation of each subformula is kept, as its diagram node, for
+    the life of the translator.
     """
 
     def __init__(self, structure: BeliefStructure):
@@ -203,36 +263,47 @@ class Translator:
         self.observations = structure.observations
         self.engine = engine = structure.engine
         self.env = structure.env()
-        # the primed vocabulary, which every belief operator quantifies
-        self._levels = frozenset(
-            engine.level(engine.primed(v)) for v in structure.vocabulary
-        )
-        self._last = max(self._levels, default=-1)
-        self._law_primed = engine._prime(structure.law.node)
-        self._relations = {}  # agent -> diagram node of law' & obs
+        self._law = structure.law.node
+        self._plain = frozenset(engine.level(v) for v in structure.vocabulary)
+        self._general = None  # law' and V', shared by the general views
+        self._views: dict[str, _View] = {}
         self._memo: dict[Formula, _Node] = {}
 
     def fn(self, formula: Formula) -> BoolFn:
         return compile_with(formula, self.env, self.engine, self._box, self._memo)
 
-    def _relation(self, agent: str):
-        rel = self._relations.get(agent)
-        if rel is None:
+    def _view(self, agent: str) -> _View:
+        view = self._views.get(agent)
+        if view is None:
             obs = self.observations.get(agent)
             if obs is None:
                 raise EvalError(f"unknown agent: {agent}")
             engine = self.engine
-            rel = engine._ite(self._law_primed, obs.node, engine._false)
-            self._relations[agent] = rel
-        return rel
+            observed = _observed_levels(engine, obs.node)
+            if observed is not None:
+                hidden = self._plain.difference(observed)
+                view = _View(self._law, hidden, max(hidden, default=-1), False)
+            else:
+                if self._general is None:
+                    primed = frozenset(level + 1 for level in self._plain)
+                    self._general = (
+                        engine._prime(self._law), primed, max(primed, default=-1)
+                    )
+                law_primed, primed, last = self._general
+                relation = engine._ite(law_primed, obs.node, engine._false)
+                view = _View(relation, primed, last, True)
+            self._views[agent] = view
+        return view
 
     def _box(self, formula: Box) -> BoolFn:
-        body = self.fn(formula.body)
-        rel = self._relation(formula.agent)
+        body = self.fn(formula.body).node
+        relation, levels, last, primed = self._view(formula.agent)
         engine = self.engine
         t, e = engine._true, engine._false
-        refuted = engine._ite(engine._prime(body.node), e, t)
-        witness = engine._and_exists(rel, refuted, self._levels, self._last)
+        if primed:
+            body = engine._prime(body)
+        refuted = engine._ite(body, e, t)
+        witness = engine._and_exists(relation, refuted, levels, last)
         return BoolFn(engine, engine._ite(witness, e, t))
 
 
@@ -267,25 +338,31 @@ class Update(NamedTuple):
 
 def _event_env(structure: BeliefStructure, transformer: Transformer) -> dict:
     """Atom-name binding for the structure's vocabulary and the event variables."""
-    env = structure.env()
+    env = dict(structure.env())
     env.update({v.name: v for v in transformer.add_vocab})
     return env
 
 
-def compile_event_law(structure: BeliefStructure, transformer: Transformer) -> BoolFn:
+def compile_event_law(
+    structure: BeliefStructure, transformer: Transformer, env: dict | None = None
+) -> BoolFn:
     """The transformer's event law as a function over the structure's
     vocabulary and the event variables.
 
     Where the structure's law holds at a state, the event with actual
     event variables x is executable exactly when this function holds at
-    the state together with x.
+    the state together with x.  env is the binding `_event_env` builds,
+    for a caller that holds it already.
     """
+    if env is None:
+        env = _event_env(structure, transformer)
     # Belief operators go to the structure's translator, whose binding
     # leaves the event variables out, so one under a belief operator is
-    # an unbound atom; the lambda primes the law only when one occurs.
+    # an unbound atom; the lambda builds the translator only when one
+    # occurs.
     return compile_with(
         transformer.event_law,
-        _event_env(structure, transformer),
+        env,
         structure.engine,
         lambda box: structure.translator.fn(box),
     )
@@ -327,8 +404,8 @@ def transform_with_copies(
                 f"event observation of {agent} built in a different engine"
             )
 
-    law_event = compile_event_law(structure, transformer)
     env = _event_env(structure, transformer)
+    law_event = compile_event_law(structure, transformer, env)
     change_fns = {
         v: compile_formula(phi, env, engine)
         for v, phi in transformer.change_laws.items()

@@ -531,9 +531,20 @@ def test_translate_rejects_undeclared_names(tmp_path, capsys, target, block, nam
             "line 4: change law of p is not belief-free",
         ),
         ("EVENT\nOBS+ a: q\n", "step 1: ", "line 4: unbound atom: q"),
+        (
+            "EVENT\nADDVARS x\nPRE [a] x\n",
+            "step 1: ",
+            "line 5: event variable under belief operator [a]: x",
+        ),
+        (
+            "EVENT\nADDVARS x y\nCHANGE p := x\nPRE x & ~[a] (p | [a] y)\n",
+            "step 1: ",
+            "line 6: event variable under belief operator [a]: y",
+        ),
     ],
     ids=[
-        "law", "obs", "change_atom", "pre_agent", "obs_belief", "change_belief", "obs_plus"
+        "law", "obs", "change_atom", "pre_agent", "obs_belief", "change_belief",
+        "obs_plus", "pre_event_variable_believed", "pre_event_variable_nested",
     ],
 )
 def test_formula_errors_name_their_line(tmp_path, capsys, body, step, error):

@@ -12,7 +12,12 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import epistemic_formulas, minimize_scene, scene_eval_enum
+from conftest import (
+    epistemic_formulas,
+    minimize_scene,
+    random_boolean_formula,
+    scene_eval_enum,
+)
 from test_node_counts import coin_flips, sally_anne
 from symdel.boolfun import Engine
 from symdel.bridge import formula_family, generate_scene, generate_scene_event
@@ -34,7 +39,7 @@ from symdel.language import (
     format_formula,
     parse,
 )
-from symdel.scenario import build_event, build_scene, parse_scenario
+from symdel.scenario import build_event, build_scene, parse_scenario, run_events
 from symdel.symbolic import (
     BeliefStructure,
     Event,
@@ -529,6 +534,119 @@ def test_relational_product_matches_the_quantified_implication():
         atoms = [v.name for v in structure.vocabulary]
         for formula in formula_family(atoms, structure.agents, 2):
             assert structure.translator.fn(formula) == oracle.fn(formula), (seed, formula)
+
+
+# -- the S5 translation against the general one ---------------------------------
+
+def observing(engine: Engine, variables):
+    """AND_{p in variables} (p <-> p'): the agent observes these variables."""
+    return engine.conj(engine.atom(v).iff(engine.atom(engine.primed(v))) for v in variables)
+
+
+def s5_chain(seed: int):
+    """A structure over three or four variables whose agents observe
+    nothing, everything and a random subset, followed by the structures
+    after one and two events whose observations are S5 too.  Each event
+    adds x<k>, sets a random variable by a random change law and shows
+    x<k> to each agent or not."""
+    rng = random.Random(f"s5-{seed}")
+    engine = Engine()
+    vocab = [engine.variable(n) for n in "pqrs"[: rng.randint(3, 4)]]
+    names = [v.name for v in vocab]
+    env = {v.name: v for v in vocab}
+    law = engine.false
+    while law.is_false:
+        law = compile_formula(random_boolean_formula(rng, names, 3), env, engine)
+    observed = {"a": [], "b": vocab, "c": [v for v in vocab if rng.random() < 0.5]}
+    observations = {agent: observing(engine, o) for agent, o in observed.items()}
+    structure = BeliefStructure(engine, tuple(vocab), law, observations)
+    yield structure
+    for k in (1, 2):
+        x = engine.variable(f"x{k}")
+        changed = rng.choice(vocab)
+        event_names = names + [x.name]
+        updated = engine.false
+        while updated.is_false:
+            transformer = Transformer(
+                (x,),
+                random_boolean_formula(rng, event_names, 2),
+                (changed,),
+                {changed: random_boolean_formula(rng, event_names, 2)},
+                {a: observing(engine, [x][: rng.randrange(2)]) for a in observed},
+            )
+            update = transform_with_copies(structure, transformer)
+            updated = update.structure.law
+        structure = update.structure
+        yield structure
+
+
+def assert_translations_agree(structure: BeliefStructure, label):
+    translator = structure.translator
+    oracle = QuantifiedImplication(structure)
+    atoms = [v.name for v in structure.vocabulary]
+    for formula in formula_family(atoms, structure.agents, 2):
+        assert translator.fn(formula) == oracle.fn(formula), (label, formula)
+
+
+def takes_s5_path(structure: BeliefStructure, agent: str) -> bool:
+    return not structure.translator._view(agent).primed
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_s5_translation_matches_the_quantified_implication(seed):
+    for step, structure in enumerate(s5_chain(seed)):
+        assert all(takes_s5_path(structure, a) for a in structure.agents)
+        assert_translations_agree(structure, (seed, step))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p <-> ~p'",
+        "p <-> q'",
+        "p'",
+        "(p <-> p') | r",
+        "(p <-> p') & (q <-> q') & (r <-> ~r')",
+    ],
+)
+def test_near_s5_observations_take_the_general_path(text):
+    engine = Engine()
+    vocab = tuple(engine.variable(n) for n in "pqr")
+    env = {v.name: v for v in vocab}
+    env.update({engine.primed(v).name: engine.primed(v) for v in vocab})
+    rng = random.Random(f"near-{text}")
+    for seed in range(4):
+        law = engine.false
+        while law.is_false:
+            law = compile_formula(random_boolean_formula(rng, "pqr", 3), env, engine)
+        observations = {
+            "a": compile_formula(parse(text), env, engine),
+            "b": observing(engine, [v for v in vocab if rng.random() < 0.5]),
+        }
+        structure = BeliefStructure(engine, vocab, law, observations)
+        assert not takes_s5_path(structure, "a")
+        assert takes_s5_path(structure, "b")
+        assert_translations_agree(structure, (text, seed))
+
+
+@pytest.mark.parametrize("minimize", [False, True], ids=["full", "minimized"])
+def test_chains_of_s5_events_stay_on_the_s5_path(minimize):
+    def paths(text):
+        """Per scene, whether each agent takes the S5 path."""
+        scenario = parse_scenario(text)
+        scene = build_scene(scenario, Engine())
+        scenes = [scene] + [s for _, s in run_events(scenario, scene, minimize)]
+        return [
+            {a: takes_s5_path(s.structure, a) for a in s.structure.agents}
+            for s in scenes
+        ]
+
+    assert paths(coin_flips(12)) == [{"a": True, "b": True}] * 13
+    # Sally's observation becomes ~q1' & ... at the third event of each
+    # round, and no later event takes that back
+    assert paths(sally_anne(2)) == [
+        {"Sally": step < 3, "Anne": True} for step in range(9)
+    ]
 
 
 # -- translation guards -------------------------------------------------------
