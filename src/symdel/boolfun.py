@@ -29,16 +29,20 @@ The unique table and the operation caches are keyed on the nodes
 themselves, never on their addresses, so an entry cannot be mistaken
 for a later node at a reused address.  Besides the recursions' entries,
 the operation cache holds two facts per root node that a caller asked
-for: its support (key "support") and its factor split (key "factors",
-or recorded by `drop_fixed`).  Only roots are cached, not the nodes
-below them, so each costs one walk of the diagram per root and one
-entry.  Nothing frees nodes yet: both tables, and so these entries,
-grow for the life of the engine.
+for: its support (key "support") and its factor split (key "factors").
+Only roots are cached, not the nodes below them, so each costs at most
+one walk of the diagram per root and one entry.  A split is also
+recorded, with no walk, for a function built by conjoining a known
+split (`conjoin_factors`, which the state update uses, and
+`drop_fixed`); the support of such a function is the union of its
+factors' supports.  Nothing frees nodes yet: both tables, and so these
+entries, grow for the life of the engine.
 """
 
 from __future__ import annotations
 
 import sys
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import SymdelError
@@ -276,15 +280,17 @@ class Engine:
             self._cache[key] = r
         return r
 
-    def _compose(self, u, subst, memo):
-        # subst maps levels to nodes.
-        if u.var is None:
+    def _compose(self, u, subst, last, memo):
+        # subst maps levels to nodes, the largest of them last; nothing
+        # below last is substituted, so such a node (or a terminal)
+        # comes back as it is.
+        if u.level > last:
             return u
         r = memo.get(u)
         if r is not None:
             return r
-        lo = self._compose(u.lo, subst, memo)
-        hi = self._compose(u.hi, subst, memo)
+        lo = self._compose(u.lo, subst, last, memo)
+        hi = self._compose(u.hi, subst, last, memo)
         g = subst.get(u.level)
         if g is None:
             g = self._mk(u.level, self._false, self._true)
@@ -345,8 +351,8 @@ class Engine:
         return BoolFn(self, self._and_exists(a, b, levels, max(levels, default=-1)))
 
     def drop_fixed(self, f: "BoolFn", variables: Iterable[VarId]) -> BoolFn:
-        """exists variables f, for variables that f fixes: f with their
-        literal factors (`factors`) left out.
+        """exists variables f, for variables that f fixes: the conjunction
+        of f's factors (`factors`) other than those variables' literals.
 
         The result's factor split is f's without those literals, so it
         is recorded for the result rather than derived again.  Raises
@@ -355,22 +361,61 @@ class Engine:
         """
         root = self._node_of(f)
         levels = frozenset(self._check_var(v) for v in variables)
-        if root is self._false:
+        if root is self._false or not levels:
             return f
         split = self._factors(root)
-        fixed = {g.level for g in split if g.lo.var is None and g.hi.var is None}
+        fixed = {g.level for g in split if self._is_literal(g)}
         if not levels <= fixed:
             names = ", ".join(sorted(self._vars[lvl].name for lvl in levels - fixed))
             raise BoolFnError(f"not fixed by the function: {names}")
-        cube = self._true
+        return BoolFn(self, self._join([g for g in split if g.level not in levels]))
+
+    def literals(self, f: "BoolFn") -> dict[VarId, BoolFn]:
+        """The variables f fixes, each with its literal factor: the
+        factors (`factors`) that are a variable or its negation.
+
+        False fixes every variable, but it is its own single factor and
+        no literal, so it gives none here.
+        """
+        if self._node_of(f) is self._false:
+            return {}
+        return {g.node.var: g for g in self.factors(f) if self._is_literal(g.node)}
+
+    @staticmethod
+    def _is_literal(factor) -> bool:
+        # a factor whose two children are terminals tests one variable
+        return factor.lo.var is None and factor.hi.var is None
+
+    def conjoin_factors(self, factors: Iterable["BoolFn"]) -> BoolFn:
+        """The conjunction of factors that split it finely: their supports
+        are pairwise disjoint and none of them splits further.
+
+        The factors are recorded as the result's split, so `factors` and
+        `support` of it cost no walk of the whole diagram.  The caller
+        vouches for the split; any order will do.
+        """
+        return BoolFn(self, self._join([self._node_of(g) for g in factors]))
+
+    def _join(self, split) -> _Node:
+        # Conjoined from the bottom factor up, so each step puts a factor
+        # over the conjunction of the factors below it.
+        split = sorted(split, key=attrgetter("level"))
+        r = self._true
         for g in reversed(split):
-            if g.level in levels:
-                cube = self._ite(g, cube, self._false)
-        r = self._and_exists(root, cube, levels, max(levels, default=-1))
-        self._cache.setdefault(
-            ("factors", r), tuple(g for g in split if g.level not in levels)
-        )
-        return BoolFn(self, r)
+            r = self._ite(g, r, self._false)
+        if r is not self._false:
+            self._cache.setdefault(("factors", r), tuple(split))
+        return r
+
+    def recorded_factors(self, f: "BoolFn") -> list[BoolFn] | None:
+        """f's factor split if the engine holds it already, else None.
+
+        Never derives the split.  The engine holds it once `factors`
+        asked for it, or when `drop_fixed` or `conjoin_factors` built f;
+        false never has one.
+        """
+        split = self._cache.get(("factors", self._node_of(f)))
+        return None if split is None else [BoolFn(self, g) for g in split]
 
     def prime(self, f: "BoolFn") -> BoolFn:
         """f with every variable replaced by its primed copy.
@@ -385,7 +430,8 @@ class Engine:
         subst = {}
         for var, g in binding.items():
             subst[self._check_var(var)] = self._node_of(g)
-        return BoolFn(self, self._compose(self._node_of(f), subst, {}))
+        node = self._compose(self._node_of(f), subst, max(subst, default=-1), {})
+        return BoolFn(self, node)
 
     def rename(self, f: "BoolFn", mapping: Mapping[VarId, VarId]) -> BoolFn:
         """Substitute variables for variables.
@@ -415,17 +461,24 @@ class Engine:
             names = ", ".join(sorted(clash))
             raise BoolFnError(f"rename target collides with kept variable: {names}")
         subst = {src: self._mk(dst, self._false, self._true) for src, dst in live.items()}
-        return BoolFn(self, self._compose(node, subst, {}))
+        return BoolFn(self, self._compose(node, subst, max(subst), {}))
 
     def support(self, f: "BoolFn") -> frozenset[VarId]:
         return self._support(self._node_of(f))
 
     def _support(self, node) -> frozenset[VarId]:
-        """The variables node's diagram tests, cached per root."""
+        """The variables node's diagram tests, cached per root.  A root
+        whose split the engine holds unites its factors' supports."""
         key = ("support", node)
         r = self._cache.get(key)
         if r is None:
-            r = self._cache[key] = frozenset(u.var for u in self._nodes(node))
+            split = self._cache.get(("factors", node))
+            # a split of one factor is the node itself
+            if split is not None and len(split) != 1:
+                r = frozenset().union(*[self._support(g) for g in split])
+            else:
+                r = frozenset(u.var for u in self._nodes(node))
+            self._cache[key] = r
         return r
 
     def _nodes(self, node):

@@ -478,9 +478,12 @@ def run_events(
     With `minimize`, every scene is shrunk, keeping the starting
     vocabulary and the event variables issued so far, so only
     snapshots go.  An event that fails raises when its step is reached.
+    The initial law's factor split is derived once, so each update
+    rewrites only the factors its event touches (`transform_with_copies`).
     """
     engine = scene.structure.engine
     keep = list(scene.structure.vocabulary)
+    engine.factors(scene.structure.law)
     for spec in scenario.events:
         event = build_event(spec, scene.structure, engine)
         scene = apply_event(scene, event)

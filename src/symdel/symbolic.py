@@ -22,12 +22,20 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .boolfun import BoolFn, Engine, VarId, _Node
 from .errors import (
+    CompileError,
     EvalError,
     NotDetermined,
     NotExecutable,
     VocabularyError,
 )
-from .language import Box, Formula, compile_formula, compile_with, is_boolean
+from .language import (
+    Box,
+    Formula,
+    atoms_of,
+    compile_formula,
+    compile_with,
+    is_boolean,
+)
 
 State = frozenset[VarId]
 
@@ -356,16 +364,21 @@ def compile_event_law(
     """
     if env is None:
         env = _event_env(structure, transformer)
-    # Belief operators go to the structure's translator, whose binding
-    # leaves the event variables out, so one under a belief operator is
-    # an unbound atom; the lambda builds the translator only when one
-    # occurs.
-    return compile_with(
-        transformer.event_law,
-        env,
-        structure.engine,
-        lambda box: structure.translator.fn(box),
-    )
+    added = {v.name for v in transformer.add_vocab}
+
+    # Belief operators are about the structure before the event, so they
+    # go to its translator, built only when one occurs; its binding
+    # leaves the event variables out.
+    def box(formula: Box) -> BoolFn:
+        believed = atoms_of(formula.body) & added
+        if believed:
+            raise CompileError(
+                f"event variable under belief operator [{formula.agent}]: "
+                f"{', '.join(sorted(believed))}"
+            )
+        return structure.translator.fn(formula)
+
+    return compile_with(transformer.event_law, env, structure.engine, box)
 
 
 def transform_with_copies(
@@ -381,6 +394,15 @@ def transform_with_copies(
     the snapshots, and one equivalence per modified variable tying its
     live value to the snapshot of its change law.  Each agent's
     observation function gains that agent's event observation.
+
+    When the engine holds the old law's factor split (`Engine.factors`),
+    only the factors whose support meets the modified variables, the
+    event law's support or a change law's are conjoined with the event
+    law, renamed and tied to the change laws.  The other factors carry
+    over unchanged, and with the factors of that group they are the new
+    law's finest split, which is recorded with it, so the next update
+    starts from it.  Without a known split (or for a false law), the
+    whole law is the one group and no split is recorded.
     """
     engine = structure.engine
     vocab = set(structure.vocabulary)
@@ -416,9 +438,25 @@ def transform_with_copies(
         engine.primed(v): engine.primed(c) for v, c in copies.items()
     }
 
-    law_new = engine.rename(structure.law & law_event, copies)
+    split = engine.recorded_factors(structure.law)
+    if split is None:
+        touched, kept = [structure.law], []
+    else:
+        reach = set(transformer.modified).union(
+            law_event.support(), *[fn.support() for fn in change_fns.values()]
+        )
+        touched, kept = [], []
+        for g in split:
+            (kept if reach.isdisjoint(g.support()) else touched).append(g)
+    law_new = engine.rename(engine.conj(touched) & law_event, copies)
     for v in transformer.modified:
         law_new &= engine.atom(v).iff(engine.rename(change_fns[v], copies))
+    if split is not None:
+        # the kept factors and the new group's share no variable, so
+        # together they are the new law's finest split
+        group = engine.factors(law_new)
+        if kept:
+            law_new = engine.conjoin_factors(kept + group)
 
     # the snapshots are fresh and distinct, so one simultaneous rename
     # moves both sides
@@ -456,9 +494,9 @@ def shrink(structure: BeliefStructure, keep: Iterable[VarId] = ()) -> BeliefStru
     """Best effort: drop the determined variables outside keep, keep the rest.
 
     The law fixes a variable exactly when that variable, or its
-    negation, is one of the law's factors (`Engine.factors`), so one
-    pass over the law finds them all; a false law fixes every variable.
-    The law leaves the dropped literals out (`Engine.drop_fixed`, which
+    negation, is one of the law's factors (`Engine.literals`), so the
+    law's split finds them all; a false law fixes every variable.  The
+    law leaves the dropped literals out (`Engine.drop_fixed`, which
     hands the engine the new law's factors as well).  The literals
     conjoin to a cube, and each observation function is restricted to
     it and its primed copy, with one relational product per function.
@@ -469,12 +507,7 @@ def shrink(structure: BeliefStructure, keep: Iterable[VarId] = ()) -> BeliefStru
         # false entails both literals of every variable; take true
         literals = {v: engine.atom(v) for v in structure.vocabulary}
     else:
-        literals = {}
-        for g in engine.factors(law):
-            support = g.support()
-            if len(support) == 1:
-                (v,) = support
-                literals[v] = g
+        literals = engine.literals(law)
     keep = set(keep)
     dropped = [v for v in structure.vocabulary if v in literals and v not in keep]
     law = engine.drop_fixed(law, dropped)

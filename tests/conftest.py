@@ -22,6 +22,16 @@ from symdel.language import (
 from symdel.symbolic import Scene, minimize
 
 
+def diagram_facts(engine, fn):
+    """fn's support and factor split, by name, comparable across engines
+    that allocated the same variables in the same order."""
+    return (
+        sorted(v.name for v in fn.support()),
+        [[[(v.name, value) for v, value in cube] for cube in engine.cubes(g)]
+         for g in engine.factors(fn)],
+    )
+
+
 def bf_truth(formula, true_set):
     """Independent truth evaluation of a belief-free formula.
 

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bf_truth, boolean_formulas, random_boolean_formula, truth_table
+from conftest import (
+    bf_truth,
+    boolean_formulas,
+    diagram_facts,
+    random_boolean_formula,
+    truth_table,
+)
 from symdel.boolfun import BoolFnError, Engine, VarId
 from symdel.language import And, Atom, Not, compile_formula, parse
 
@@ -178,6 +184,31 @@ def test_rename_outside_the_support_returns_f():
         assert len(engine._unique) == size
     with pytest.raises(BoolFnError):
         engine.rename(f, {VarId("z"): r})
+
+
+def test_rename_leaves_the_part_below_its_last_level_alone(monkeypatch):
+    """Nothing below the last renamed level changes, so compose returns
+    that part as it is and calls no connective on it."""
+    engine = Engine()
+    p = engine.variable("p")
+    pc = engine.fresh_copy(p)
+    below = [engine.variable(f"v{i}") for i in range(12)]
+    chain = engine.conj(engine.atom(v).iff(engine.atom(w)) for v, w in zip(below, below[1:]))
+    f = engine.atom(p).iff(engine.atom(below[0])) & chain
+    calls = []
+    ite = engine._ite
+
+    def counting(*args):
+        calls.append(args)
+        return ite(*args)
+
+    monkeypatch.setattr(engine, "_ite", counting)
+    out = engine.rename(f, {p: pc})
+    monkeypatch.undo()
+    assert out == engine.atom(pc).iff(engine.atom(below[0])) & chain
+    # one node tests p: one if-then-else on p's copy, whose two
+    # cofactor calls end at once
+    assert len(calls) == 3
 
 
 def test_compose_matches_assignment_oracle():
@@ -583,19 +614,11 @@ def test_factors_fixed_cases():
     assert engine.factors(fn("~p & (q1 | q2) & q3")) == [fn("~p"), fn("q1 | q2"), fn("q3")]
 
 
-def _facts(engine, fn):
-    """fn's support and factor split, by name, comparable across engines."""
-    return (
-        sorted(v.name for v in fn.support()),
-        [[[(v.name, value) for v, value in cube] for cube in engine.cubes(g)]
-         for g in engine.factors(fn)],
-    )
-
-
 def test_cached_support_and_factors_match_a_fresh_engine():
-    """support and factors are cached per root, and drop_fixed records
-    its result's split.  Asked again in any order after other operations
-    have filled the caches, they give what a fresh engine computes once."""
+    """support and factors are cached per root, and drop_fixed and
+    conjoin_factors record their result's split.  Asked again in any
+    order after other operations have filled the caches, they give what
+    a fresh engine computes once."""
     rng = random.Random("cached-facts")
     names = [f"v{i}" for i in range(6)]
     engine = Engine()
@@ -606,13 +629,24 @@ def test_cached_support_and_factors_match_a_fresh_engine():
         for name in rng.sample(names, rng.randint(0, 2)):
             formula = And((formula, Atom(name) if rng.random() < 0.5 else Not(Atom(name))))
         fn = compile_formula(formula, env, engine)
-        first = _facts(engine, fn)
+        first = diagram_facts(engine, fn)
         others = [f for f, _ in asked[-3:]]
         engine.exists(fn, rng.sample(list(env.values()), 2))
         engine.conj([fn, *others])
         engine.prime(fn)
-        assert _facts(engine, fn) == first
+        assert diagram_facts(engine, fn) == first
         asked.append((fn, (formula, ())))
+        # a second function over the variables fn leaves out
+        rest = [n for n in names if env[n] not in fn.support()]
+        if rest:
+            other = random_boolean_formula(rng, rest, 3)
+            parts = engine.factors(fn) + engine.factors(compile_formula(other, env, engine))
+            rng.shuffle(parts)
+            joined = engine.conjoin_factors(parts)
+            assert joined == fn & compile_formula(other, env, engine)
+            # false never has a recorded split
+            assert (engine.recorded_factors(joined) is None) == joined.is_false
+            asked.append((joined, (And((formula, other)), ())))
         fixed = [
             v for g in engine.factors(fn) if len(g.support()) == 1 for v in g.support()
         ]
@@ -626,7 +660,7 @@ def test_cached_support_and_factors_match_a_fresh_engine():
         want = fresh.exists(
             compile_formula(formula, fresh_env, fresh), [fresh_env[n] for n in drop]
         )
-        assert _facts(engine, fn) == _facts(fresh, want)
+        assert diagram_facts(engine, fn) == diagram_facts(fresh, want)
 
 
 def test_factors_and_drop_fixed_match_truth_tables():
@@ -667,8 +701,12 @@ def test_factors_and_drop_fixed_match_truth_tables():
         assert fn.support() == frozenset().union(*supports)
         if fn.is_false:
             assert engine.drop_fixed(fn, variables).is_false
+            assert engine.literals(fn) == {}
             continue
         fixed = [v for s in supports if len(s) == 1 for v in s]
+        assert engine.literals(fn) == {
+            v: g for g, s in zip(parts, supports) if len(s) == 1 for v in s
+        }
         drop = rng.sample(fixed, rng.randint(0, len(fixed)))
         dropped = engine.drop_fixed(fn, drop)
         want = table

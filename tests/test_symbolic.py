@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    bf_truth,
+    diagram_facts,
     epistemic_formulas,
     minimize_scene,
     random_boolean_formula,
@@ -31,7 +33,10 @@ from symdel.errors import (
 from symdel.explicit import GlobalEvaluator, model_of_structure
 from symdel.language import (
     TOP,
+    And,
     Atom,
+    Box,
+    Or,
     agents_of,
     atoms_of,
     compile_formula,
@@ -40,6 +45,7 @@ from symdel.language import (
     parse,
 )
 from symdel.scenario import build_event, build_scene, parse_scenario, run_events
+from symdel import symbolic
 from symdel.symbolic import (
     BeliefStructure,
     Event,
@@ -47,6 +53,7 @@ from symdel.symbolic import (
     Transformer,
     Translator,
     apply_event,
+    compile_event_law,
     minimize,
     scene_eval,
     shrink,
@@ -502,6 +509,122 @@ def test_shrink_of_a_false_law_drops_every_variable_outside_keep():
     assert reduced.observations["a"] == engine.atom(u)
 
 
+# -- the law's factor split, carried through each update ------------------------
+
+def random_chain(seed: int) -> str:
+    """Scenario text: a law over p, q, r, s that splits between {p, q}
+    and {r, s}, agent a with a random observation and b observing p and
+    q, then four events.  Most events add x<k>, which happens, with a
+    precondition that x<k> or a random formula (under a belief operator
+    or not) holds, so every event is executable; each event changes one
+    or two variables by random change laws."""
+    rng = random.Random(f"chain-{seed}")
+    names = list("pqrs")
+    law, state = None, set()
+    while law is None or not bf_truth(law, state):
+        law = And((random_boolean_formula(rng, "pq", 2), random_boolean_formula(rng, "rs", 2)))
+        state = {n for n in names if rng.random() < 0.5}
+    both = names + [f"{n}'" for n in names]
+    lines = [
+        "AGENTS a b",
+        "VARS p q r s",
+        f"LAW {format_formula(law)}",
+        f"OBS a: {format_formula(random_boolean_formula(rng, both, 2))}",
+        "OBS b: (p <-> p') & (q <-> q')",
+        "STATE " + " ".join(sorted(state)),
+    ]
+    for k in range(1, 5):
+        lines.append("EVENT")
+        pool = names
+        if rng.random() < 0.75:
+            x = f"x{k}"
+            pool = names + [x]
+            body = random_boolean_formula(rng, names, 2)
+            if rng.random() < 0.5:
+                body = Box(rng.choice("ab"), body)
+            lines += [
+                f"  ADDVARS {x}",
+                f"  PRE {format_formula(Or((body, Atom(x))))}",
+                f"  OBS+ {rng.choice('ab')}: {x} <-> {x}'",
+                f"  ASSIGN {x}",
+            ]
+        for v in rng.sample(names, rng.randint(1, 2)):
+            change = random_boolean_formula(rng, rng.sample(pool, 2), 1)
+            lines.append(f"  CHANGE {v} := {format_formula(change)}")
+    return "\n".join(lines) + "\n"
+
+
+SPLIT_CHAINS = {
+    "coin_flips": coin_flips(6),
+    "sally_anne": sally_anne(2),
+    **{f"random{seed}": random_chain(seed) for seed in range(12)},
+}
+
+
+def updates_along(text, minimize, monkeypatch, carry=True):
+    """Each update `run_events` makes along the scenario, as (the old
+    structure, the transformer, the update).  Without carry, the engine
+    never reports a recorded split, so every update takes the path for
+    an unknown split."""
+    engine = Engine()
+    if not carry:
+        monkeypatch.setattr(engine, "recorded_factors", lambda f: None)
+    made = []
+    transform = symbolic.transform_with_copies
+
+    def recording(structure, transformer):
+        update = transform(structure, transformer)
+        made.append((structure, transformer, update))
+        return update
+
+    monkeypatch.setattr(symbolic, "transform_with_copies", recording)
+    scenario = parse_scenario(text)
+    for _ in run_events(scenario, build_scene(scenario, engine), minimize):
+        pass
+    monkeypatch.undo()
+    assert len(made) == len(scenario.events)
+    return made
+
+
+@pytest.mark.parametrize("minimize", [False, True], ids=["full", "minimized"])
+@pytest.mark.parametrize("text", list(SPLIT_CHAINS.values()), ids=list(SPLIT_CHAINS))
+def test_updates_carry_the_law_split(text, minimize, monkeypatch):
+    """Every law the update builds is rename(law & event law) & the
+    change equivalences, and the split it records, with the support read
+    from it, is what an engine that derives both by walking the law finds."""
+    carried = updates_along(text, minimize, monkeypatch)
+    derived = updates_along(text, minimize, monkeypatch, carry=False)
+    kept = 0
+    for (old, transformer, update), (_, _, plain) in zip(carried, derived):
+        engine = old.engine
+        law = update.structure.law
+        want = engine.rename(old.law & compile_event_law(old, transformer), update.copies)
+        for v, fn in update.change_fns.items():
+            want &= engine.atom(v).iff(engine.rename(fn, update.copies))
+        assert law == want
+        split = engine.recorded_factors(law)
+        assert split is not None
+        kept += bool(set(split) & set(engine.factors(old.law)))
+        assert diagram_facts(engine, law) == diagram_facts(
+            plain.structure.engine, plain.structure.law
+        )
+    # some factor of an old law carried over untouched
+    assert kept
+
+
+@pytest.mark.parametrize("text", list(SPLIT_CHAINS.values()), ids=list(SPLIT_CHAINS))
+def test_an_update_without_the_old_split_records_none(text):
+    scenario = parse_scenario(text)
+    engine = Engine()
+    scene = build_scene(scenario, engine)
+    event = build_event(scenario.events[0], scene.structure, engine)
+    update = transform_with_copies(scene.structure, event.transformer)
+    assert engine.recorded_factors(update.structure.law) is None
+    engine.factors(scene.structure.law)
+    update = transform_with_copies(scene.structure, event.transformer)
+    assert engine.recorded_factors(update.structure.law) is not None
+
+
 # -- the belief operator against its first definition --------------------------
 
 class QuantifiedImplication:
@@ -666,10 +789,13 @@ def test_translator_rejects_event_variables_under_belief():
     assert law_after("x") == structure.law & engine.atom(x)
     box = structure.translator.fn(parse("[a] p"))
     assert law_after("x & [a] p") == structure.law & engine.atom(x) & box
-    with pytest.raises(CompileError):
+    with pytest.raises(CompileError, match=r"^event variable under belief operator \[a\]: x$"):
         law_after("[a] x")
-    with pytest.raises(CompileError):
+    with pytest.raises(CompileError, match=r"^event variable under belief operator \[b\]: x$"):
         law_after("~[b] (p | x)")
+    # the outermost operator at fault is named, as build_event names it
+    with pytest.raises(CompileError, match=r"\[a\]: x$"):
+        law_after("[a] [b] x")
 
 
 def test_translator_error_cases():
