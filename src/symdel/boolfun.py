@@ -407,16 +407,6 @@ class Engine:
             self._cache.setdefault(("factors", r), tuple(split))
         return r
 
-    def recorded_factors(self, f: "BoolFn") -> list[BoolFn] | None:
-        """f's factor split if the engine holds it already, else None.
-
-        Never derives the split.  The engine holds it once `factors`
-        asked for it, or when `drop_fixed` or `conjoin_factors` built f;
-        false never has one.
-        """
-        split = self._cache.get(("factors", self._node_of(f)))
-        return None if split is None else [BoolFn(self, g) for g in split]
-
     def prime(self, f: "BoolFn") -> BoolFn:
         """f with every variable replaced by its primed copy.
 

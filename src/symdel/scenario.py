@@ -71,6 +71,7 @@ from .symbolic import (
     Scene,
     Transformer,
     apply_event,
+    reject_event_variables_under,
     shrink_scene,
 )
 
@@ -455,15 +456,10 @@ def build_event(
     _check_names(formulas, spec.lines, spec.line, set(env) | added, set(structure.agents))
     if added:
         # preorder, so the first box found is the outermost at fault
-        for phi in subformulas(spec.pre):
-            if type(phi) is Box:
-                believed = atoms_of(phi.body) & added
-                if believed:
-                    raise ParseError(
-                        f"event variable under belief operator [{phi.agent}]: "
-                        f"{', '.join(sorted(believed))}",
-                        line=_line(spec.lines, spec.line, "PRE"),
-                    )
+        with at_line(_line(spec.lines, spec.line, "PRE")):
+            for phi in subformulas(spec.pre):
+                if type(phi) is Box:
+                    reject_event_variables_under(phi, added)
     transformer = Transformer(add, spec.pre, tuple(modified), changes, event_obs)
     actual = frozenset(engine.variable(name) for name in spec.assign)
     return Event(transformer, actual)
@@ -478,12 +474,9 @@ def run_events(
     With `minimize`, every scene is shrunk, keeping the starting
     vocabulary and the event variables issued so far, so only
     snapshots go.  An event that fails raises when its step is reached.
-    The initial law's factor split is derived once, so each update
-    rewrites only the factors its event touches (`transform_with_copies`).
     """
     engine = scene.structure.engine
     keep = list(scene.structure.vocabulary)
-    engine.factors(scene.structure.law)
     for spec in scenario.events:
         event = build_event(spec, scene.structure, engine)
         scene = apply_event(scene, event)

@@ -366,19 +366,28 @@ def compile_event_law(
         env = _event_env(structure, transformer)
     added = {v.name for v in transformer.add_vocab}
 
-    # Belief operators are about the structure before the event, so they
-    # go to its translator, built only when one occurs; its binding
-    # leaves the event variables out.
+    # Belief operators go to the structure's translator, built only when
+    # one occurs.
     def box(formula: Box) -> BoolFn:
-        believed = atoms_of(formula.body) & added
-        if believed:
-            raise CompileError(
-                f"event variable under belief operator [{formula.agent}]: "
-                f"{', '.join(sorted(believed))}"
-            )
+        reject_event_variables_under(formula, added)
         return structure.translator.fn(formula)
 
     return compile_with(transformer.event_law, env, structure.engine, box)
+
+
+def reject_event_variables_under(box: Box, added: set[str]) -> None:
+    """Raise a CompileError naming the belief operator and the event
+    variables among `added` that its body names.
+
+    An event law's beliefs are about the structure before the event,
+    which has no event variables.
+    """
+    believed = atoms_of(box.body) & added
+    if believed:
+        raise CompileError(
+            f"event variable under belief operator [{box.agent}]: "
+            f"{', '.join(sorted(believed))}"
+        )
 
 
 def transform_with_copies(
@@ -395,14 +404,13 @@ def transform_with_copies(
     live value to the snapshot of its change law.  Each agent's
     observation function gains that agent's event observation.
 
-    When the engine holds the old law's factor split (`Engine.factors`),
-    only the factors whose support meets the modified variables, the
-    event law's support or a change law's are conjoined with the event
-    law, renamed and tied to the change laws.  The other factors carry
-    over unchanged, and with the factors of that group they are the new
-    law's finest split, which is recorded with it, so the next update
-    starts from it.  Without a known split (or for a false law), the
-    whole law is the one group and no split is recorded.
+    Only the old law's factors (`Engine.factors`) whose support meets
+    the modified variables, the event law's support or a change law's
+    are conjoined with the event law, renamed and tied to the change
+    laws.  The other factors carry over unchanged, and with the factors
+    of that group they are the new law's finest split.  When any carried
+    over, the split is recorded with the law (`Engine.conjoin_factors`),
+    so the next update reads it rather than walking the law.
     """
     engine = structure.engine
     vocab = set(structure.vocabulary)
@@ -438,25 +446,19 @@ def transform_with_copies(
         engine.primed(v): engine.primed(c) for v, c in copies.items()
     }
 
-    split = engine.recorded_factors(structure.law)
-    if split is None:
-        touched, kept = [structure.law], []
-    else:
-        reach = set(transformer.modified).union(
-            law_event.support(), *[fn.support() for fn in change_fns.values()]
-        )
-        touched, kept = [], []
-        for g in split:
-            (kept if reach.isdisjoint(g.support()) else touched).append(g)
+    reach = set(transformer.modified).union(
+        law_event.support(), *[fn.support() for fn in change_fns.values()]
+    )
+    touched, kept = [], []
+    for g in engine.factors(structure.law):
+        (kept if reach.isdisjoint(g.support()) else touched).append(g)
     law_new = engine.rename(engine.conj(touched) & law_event, copies)
     for v in transformer.modified:
         law_new &= engine.atom(v).iff(engine.rename(change_fns[v], copies))
-    if split is not None:
+    if kept:
         # the kept factors and the new group's share no variable, so
         # together they are the new law's finest split
-        group = engine.factors(law_new)
-        if kept:
-            law_new = engine.conjoin_factors(kept + group)
+        law_new = engine.conjoin_factors(kept + engine.factors(law_new))
 
     # the snapshots are fresh and distinct, so one simultaneous rename
     # moves both sides

@@ -644,8 +644,8 @@ def test_cached_support_and_factors_match_a_fresh_engine():
             rng.shuffle(parts)
             joined = engine.conjoin_factors(parts)
             assert joined == fn & compile_formula(other, env, engine)
-            # false never has a recorded split
-            assert (engine.recorded_factors(joined) is None) == joined.is_false
+            if not joined.is_false:
+                assert set(engine.factors(joined)) == set(parts)
             asked.append((joined, (And((formula, other)), ())))
         fixed = [
             v for g in engine.factors(fn) if len(g.support()) == 1 for v in g.support()

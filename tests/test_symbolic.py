@@ -561,14 +561,14 @@ SPLIT_CHAINS = {
 }
 
 
-def updates_along(text, minimize, monkeypatch, carry=True):
+def updates_along(text, minimize, monkeypatch, record=True):
     """Each update `run_events` makes along the scenario, as (the old
-    structure, the transformer, the update).  Without carry, the engine
-    never reports a recorded split, so every update takes the path for
-    an unknown split."""
+    structure, the transformer, the update).  Without record, the engine
+    conjoins a split as any other conjunction and records nothing, so
+    each split and support it gives is derived by walking the law."""
     engine = Engine()
-    if not carry:
-        monkeypatch.setattr(engine, "recorded_factors", lambda f: None)
+    if not record:
+        monkeypatch.setattr(engine, "conjoin_factors", engine.conj)
     made = []
     transform = symbolic.transform_with_copies
 
@@ -593,7 +593,7 @@ def test_updates_carry_the_law_split(text, minimize, monkeypatch):
     change equivalences, and the split it records, with the support read
     from it, is what an engine that derives both by walking the law finds."""
     carried = updates_along(text, minimize, monkeypatch)
-    derived = updates_along(text, minimize, monkeypatch, carry=False)
+    derived = updates_along(text, minimize, monkeypatch, record=False)
     kept = 0
     for (old, transformer, update), (_, _, plain) in zip(carried, derived):
         engine = old.engine
@@ -602,27 +602,12 @@ def test_updates_carry_the_law_split(text, minimize, monkeypatch):
         for v, fn in update.change_fns.items():
             want &= engine.atom(v).iff(engine.rename(fn, update.copies))
         assert law == want
-        split = engine.recorded_factors(law)
-        assert split is not None
-        kept += bool(set(split) & set(engine.factors(old.law)))
+        kept += bool(set(engine.factors(law)) & set(engine.factors(old.law)))
         assert diagram_facts(engine, law) == diagram_facts(
             plain.structure.engine, plain.structure.law
         )
     # some factor of an old law carried over untouched
     assert kept
-
-
-@pytest.mark.parametrize("text", list(SPLIT_CHAINS.values()), ids=list(SPLIT_CHAINS))
-def test_an_update_without_the_old_split_records_none(text):
-    scenario = parse_scenario(text)
-    engine = Engine()
-    scene = build_scene(scenario, engine)
-    event = build_event(scenario.events[0], scene.structure, engine)
-    update = transform_with_copies(scene.structure, event.transformer)
-    assert engine.recorded_factors(update.structure.law) is None
-    engine.factors(scene.structure.law)
-    update = transform_with_copies(scene.structure, event.transformer)
-    assert engine.recorded_factors(update.structure.law) is not None
 
 
 # -- the belief operator against its first definition --------------------------
