@@ -33,10 +33,10 @@ for: its support (key "support") and its factor split (key "factors").
 Only roots are cached, not the nodes below them, so each costs at most
 one walk of the diagram per root and one entry.  A split is also
 recorded, with no walk, for a function built by conjoining a known
-split (`conjoin_factors`, which the state update uses, and
-`drop_fixed`); the support of such a function is the union of its
-factors' supports.  Nothing frees nodes yet: both tables, and so these
-entries, grow for the life of the engine.
+split (`conjoin_factors`, which the state update and `shrink` use);
+the support of such a function is the union of its factors' supports.
+Nothing frees nodes yet: both tables, and so these entries, grow for
+the life of the engine.
 """
 
 from __future__ import annotations
@@ -350,42 +350,6 @@ class Engine:
         levels = frozenset(self._check_var(v) for v in variables)
         return BoolFn(self, self._and_exists(a, b, levels, max(levels, default=-1)))
 
-    def drop_fixed(self, f: "BoolFn", variables: Iterable[VarId]) -> BoolFn:
-        """exists variables f, for variables that f fixes: the conjunction
-        of f's factors (`factors`) other than those variables' literals.
-
-        The result's factor split is f's without those literals, so it
-        is recorded for the result rather than derived again.  Raises
-        BoolFnError for a variable that f does not fix; false fixes
-        every variable and stays false.
-        """
-        root = self._node_of(f)
-        levels = frozenset(self._check_var(v) for v in variables)
-        if root is self._false or not levels:
-            return f
-        split = self._factors(root)
-        fixed = {g.level for g in split if self._is_literal(g)}
-        if not levels <= fixed:
-            names = ", ".join(sorted(self._vars[lvl].name for lvl in levels - fixed))
-            raise BoolFnError(f"not fixed by the function: {names}")
-        return BoolFn(self, self._join([g for g in split if g.level not in levels]))
-
-    def literals(self, f: "BoolFn") -> dict[VarId, BoolFn]:
-        """The variables f fixes, each with its literal factor: the
-        factors (`factors`) that are a variable or its negation.
-
-        False fixes every variable, but it is its own single factor and
-        no literal, so it gives none here.
-        """
-        if self._node_of(f) is self._false:
-            return {}
-        return {g.node.var: g for g in self.factors(f) if self._is_literal(g.node)}
-
-    @staticmethod
-    def _is_literal(factor) -> bool:
-        # a factor whose two children are terminals tests one variable
-        return factor.lo.var is None and factor.hi.var is None
-
     def conjoin_factors(self, factors: Iterable["BoolFn"]) -> BoolFn:
         """The conjunction of factors that split it finely: their supports
         are pairwise disjoint and none of them splits further.
@@ -394,18 +358,15 @@ class Engine:
         `support` of it cost no walk of the whole diagram.  The caller
         vouches for the split; any order will do.
         """
-        return BoolFn(self, self._join([self._node_of(g) for g in factors]))
-
-    def _join(self, split) -> _Node:
+        split = sorted((self._node_of(g) for g in factors), key=attrgetter("level"))
         # Conjoined from the bottom factor up, so each step puts a factor
         # over the conjunction of the factors below it.
-        split = sorted(split, key=attrgetter("level"))
         r = self._true
         for g in reversed(split):
             r = self._ite(g, r, self._false)
         if r is not self._false:
             self._cache.setdefault(("factors", r), tuple(split))
-        return r
+        return BoolFn(self, r)
 
     def prime(self, f: "BoolFn") -> BoolFn:
         """f with every variable replaced by its primed copy.

@@ -413,7 +413,11 @@ def build_scene(scenario: Scenario, engine: Engine) -> Scene:
             observations[agent] = compile_formula(phi, full_env, engine)
     structure = BeliefStructure(engine, vocab, law, observations)
     state = frozenset(env[name] for name in scenario.state)
-    return Scene(structure, state)
+    # a state that violates the law is at fault on STATE, or on LAW
+    # when STATE is omitted
+    lines = scenario.lines
+    with at_line(lines.get(("STATE", ()), lines.get(("LAW", ())))):
+        return Scene(structure, state)
 
 
 def build_event(
@@ -422,9 +426,10 @@ def build_event(
     """Build the event of one EVENT block against the current structure.
 
     An atom or agent that the structure and the event variables do not
-    declare is a ParseError at its line, as are a CHANGE that is not
-    belief-free and an event variable under a belief operator in PRE:
-    PRE's beliefs are about the structure before the event.
+    declare is a ParseError at its line, as are a CHANGE of a snapshot
+    or one that is not belief-free, and an event variable under a belief
+    operator in PRE: PRE's beliefs are about the structure before the
+    event.
     """
     add = tuple(engine.variable(name) for name in spec.add)
     obs_env = {v.name: v for v in add}
@@ -441,6 +446,11 @@ def build_event(
         if var is None:
             raise ParseError(
                 f"CHANGE of a variable outside the vocabulary: {name}",
+                line=spec.lines["CHANGE", (name,)],
+            )
+        if var.copy:
+            raise ParseError(
+                f"CHANGE of a snapshot, which keeps an old value: {name}",
                 line=spec.lines["CHANGE", (name,)],
             )
         if not is_boolean(phi):

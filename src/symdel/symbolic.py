@@ -55,6 +55,12 @@ def _check_plain_distinct(variables, what):
         seen.add(v)
 
 
+def _outside(plain: set[VarId], support: Iterable[VarId]) -> set[VarId]:
+    """The variables of support that are neither in plain nor the primed
+    copy of a variable in it."""
+    return {v for v in support if VarId(v.stem, v.copy) not in plain}
+
+
 @dataclass(frozen=True, eq=False)
 class BeliefStructure:
     """Vocabulary, state law, and per-agent observation functions."""
@@ -76,13 +82,12 @@ class BeliefStructure:
             raise VocabularyError(
                 f"state law mentions non-vocabulary variables: {_name_list(stray)}"
             )
-        allowed = vocab | {self.engine.primed(v) for v in self.vocabulary}
         for agent, obs in self.observations.items():
             if obs.engine is not self.engine:
                 raise VocabularyError(
                     f"observation function of {agent} built in a different engine"
                 )
-            stray = obs.support() - allowed
+            stray = _outside(vocab, obs.support())
             if stray:
                 raise VocabularyError(
                     f"observation function of {agent} mentions "
@@ -140,7 +145,8 @@ class Transformer:
     event_law may use belief operators, but only over the original
     vocabulary; event variables must stay outside their scope.  Change
     laws and event observations are belief-free; event observations may
-    mention only event variables and their primes.
+    mention only event variables and their primes.  The modified
+    variables are live ones, not snapshots, which keep old values.
     """
 
     add_vocab: tuple[VarId, ...]
@@ -156,6 +162,11 @@ class Transformer:
         object.__setattr__(self, "event_obs", dict(self.event_obs))
         _check_plain_distinct(self.add_vocab, "the event vocabulary")
         _check_plain_distinct(self.modified, "the modified set")
+        for v in self.modified:
+            if v.copy:
+                raise VocabularyError(
+                    f"the modified set must not hold a snapshot: {v.name}"
+                )
         mod = set(self.modified)
         if set(self.change_laws) != mod:
             raise VocabularyError(
@@ -167,18 +178,14 @@ class Transformer:
         engines = {obs.engine for obs in self.event_obs.values()}
         if len(engines) > 1:
             raise VocabularyError("event observations built in different engines")
-        if self.event_obs:
-            engine = next(iter(engines))
-            allowed = set(self.add_vocab) | {
-                engine.primed(v) for v in self.add_vocab
-            }
-            for agent, obs in self.event_obs.items():
-                stray = obs.support() - allowed
-                if stray:
-                    raise VocabularyError(
-                        f"event observation of {agent} mentions variables "
-                        f"other than the event variables: {_name_list(stray)}"
-                    )
+        add = set(self.add_vocab)
+        for agent, obs in self.event_obs.items():
+            stray = _outside(add, obs.support())
+            if stray:
+                raise VocabularyError(
+                    f"event observation of {agent} mentions variables "
+                    f"other than the event variables: {_name_list(stray)}"
+                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,31 +503,36 @@ def shrink(structure: BeliefStructure, keep: Iterable[VarId] = ()) -> BeliefStru
     """Best effort: drop the determined variables outside keep, keep the rest.
 
     The law fixes a variable exactly when that variable, or its
-    negation, is one of the law's factors (`Engine.literals`), so the
-    law's split finds them all; a false law fixes every variable.  The
-    law leaves the dropped literals out (`Engine.drop_fixed`, which
-    hands the engine the new law's factors as well).  The literals
-    conjoin to a cube, and each observation function is restricted to
-    it and its primed copy, with one relational product per function.
+    negation, is one of the law's factors (`Engine.factors`): a factor
+    whose support is that one variable.  A false law fixes every
+    variable.  The new law conjoins the other factors, which are its
+    split (`Engine.conjoin_factors`); a law that drops nothing stays
+    as it is.  The dropped variables' literals conjoin to a cube, and
+    each observation function is restricted to it and its primed copy,
+    with one relational product per function.
     """
     engine = structure.engine
     law = structure.law
+    split = engine.factors(law)
     if law.is_false:
         # false entails both literals of every variable; take true
-        literals = {v: engine.atom(v) for v in structure.vocabulary}
+        fixed = {v: engine.atom(v) for v in structure.vocabulary}
     else:
-        literals = engine.literals(law)
+        fixed = {v: g for g in split if len(g.support()) == 1 for v in g.support()}
     keep = set(keep)
-    dropped = [v for v in structure.vocabulary if v in literals and v not in keep]
-    law = engine.drop_fixed(law, dropped)
-    cube = engine.conj(literals[v] for v in dropped)
+    dropped = [v for v in structure.vocabulary if v in fixed and v not in keep]
+    if dropped:
+        # false stays false: its one factor is no literal
+        gone = {fixed[v] for v in dropped}
+        law = engine.conjoin_factors([g for g in split if g not in gone])
+    cube = engine.conj(fixed[v] for v in dropped)
     both = dropped + [engine.primed(v) for v in dropped]
     cube &= engine.prime(cube)
     observations = {
         agent: engine.and_exists(obs, cube, both)
         for agent, obs in structure.observations.items()
     }
-    vocab = tuple(v for v in structure.vocabulary if v not in literals or v in keep)
+    vocab = tuple(v for v in structure.vocabulary if v not in fixed or v in keep)
     return BeliefStructure(engine, vocab, law, observations)
 
 

@@ -615,8 +615,9 @@ def test_factors_fixed_cases():
 
 
 def test_cached_support_and_factors_match_a_fresh_engine():
-    """support and factors are cached per root, and drop_fixed and
-    conjoin_factors record their result's split.  Asked again in any
+    """support and factors are cached per root, and conjoin_factors
+    records its result's split, also for a split that leaves out some
+    literal factors, as shrink conjoins them.  Asked again in any
     order after other operations have filled the caches, they give what
     a fresh engine computes once."""
     rng = random.Random("cached-facts")
@@ -647,12 +648,14 @@ def test_cached_support_and_factors_match_a_fresh_engine():
             if not joined.is_false:
                 assert set(engine.factors(joined)) == set(parts)
             asked.append((joined, (And((formula, other)), ())))
-        fixed = [
-            v for g in engine.factors(fn) if len(g.support()) == 1 for v in g.support()
-        ]
-        if fixed and not fn.is_false:
-            drop = rng.sample(fixed, rng.randint(1, len(fixed)))
-            asked.append((engine.drop_fixed(fn, drop), (formula, tuple(v.name for v in drop))))
+        literals = {
+            v: g for g in engine.factors(fn) if len(g.support()) == 1 for v in g.support()
+        }
+        if literals:
+            drop = rng.sample(sorted(literals), rng.randint(1, len(literals)))
+            gone = {literals[v] for v in drop}
+            kept = engine.conjoin_factors(g for g in engine.factors(fn) if g not in gone)
+            asked.append((kept, (formula, tuple(v.name for v in drop))))
     rng.shuffle(asked)
     for fn, (formula, drop) in asked * 2:
         fresh = Engine()
@@ -663,10 +666,11 @@ def test_cached_support_and_factors_match_a_fresh_engine():
         assert diagram_facts(engine, fn) == diagram_facts(fresh, want)
 
 
-def test_factors_and_drop_fixed_match_truth_tables():
+def test_factors_and_conjoin_factors_match_truth_tables():
     """The factors conjoin to f and have pairwise disjoint supports, and
-    drop_fixed is exists over fixed variables, all read off truth tables
-    with holds on every assignment.  Plain and primed levels interleave."""
+    conjoin_factors of the split without some literal factors is exists
+    over their variables, all read off truth tables with holds on every
+    assignment.  Plain and primed levels interleave."""
     rng = random.Random("factor-tables")
     engine = Engine()
     plain = [engine.variable(s) for s in "pqr"]
@@ -699,24 +703,15 @@ def test_factors_and_drop_fixed_match_truth_tables():
         assert supports == [g.support() for g in parts]
         assert sum(len(s) for s in supports) == len(frozenset().union(*supports))
         assert fn.support() == frozenset().union(*supports)
-        if fn.is_false:
-            assert engine.drop_fixed(fn, variables).is_false
-            assert engine.literals(fn) == {}
-            continue
+        assert engine.conjoin_factors(parts) == fn
+        # a factor over one variable is a literal, which fixes it
         fixed = [v for s in supports if len(s) == 1 for v in s]
-        assert engine.literals(fn) == {
-            v: g for g, s in zip(parts, supports) if len(s) == 1 for v in s
-        }
-        drop = rng.sample(fixed, rng.randint(0, len(fixed)))
-        dropped = engine.drop_fixed(fn, drop)
+        drop = set(rng.sample(fixed, rng.randint(0, len(fixed))))
+        rest = [g for g, s in zip(parts, supports) if not s & drop]
+        rest.reverse()  # any order will do
+        dropped = engine.conjoin_factors(rest)
         want = table
         for v in drop:
             want = {row: want[row - {v}] or want[row | {v}] for row in rows}
         assert table_of(dropped) == want
-        assert engine.factors(dropped) == [
-            g for g, s in zip(parts, supports) if not s & set(drop)
-        ]
-        loose = [v for v in variables if v not in fixed]
-        if loose:
-            with pytest.raises(BoolFnError, match="not fixed"):
-                engine.drop_fixed(fn, [rng.choice(loose)])
+        assert engine.factors(dropped) == rest[::-1]

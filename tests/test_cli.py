@@ -236,6 +236,17 @@ def test_check_blocked_event(tmp_path, capsys):
         assert "not executable" in err
 
 
+def test_check_change_of_a_snapshot_names_its_line(tmp_path, capsys):
+    path = tmp_path / "snapshot.scn"
+    path.write_text(
+        "AGENTS a\nVARS p\nSTATE p\nEVENT\nCHANGE p := ~p\nEVENT\nCHANGE p° := Top\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "check", str(path))
+    error = "step 2: line 7: CHANGE of a snapshot, which keeps an old value: p°"
+    assert (code, out, err) == (2, "", f"{path}: {error}\n")
+
+
 def test_check_index_out_of_range(tmp_path, capsys):
     path = tmp_path / "range.scn"
     path.write_text(
@@ -541,10 +552,15 @@ def test_translate_rejects_undeclared_names(tmp_path, capsys, target, block, nam
             "step 1: ",
             "line 6: event variable under belief operator [a]: y",
         ),
+        # a state that violates the law: at STATE, or at LAW without STATE
+        ("LAW ~p\nSTATE p\nEVENT\n", "", "line 4: the designated state violates the state law"),
+        ("STATE p\nLAW ~p\nEVENT\n", "", "line 3: the designated state violates the state law"),
+        ("LAW p\nEVENT\n", "", "line 3: the designated state violates the state law"),
     ],
     ids=[
         "law", "obs", "change_atom", "pre_agent", "obs_belief", "change_belief",
         "obs_plus", "pre_event_variable_believed", "pre_event_variable_nested",
+        "state_violates_law", "state_before_law_violates_it", "no_state_violates_law",
     ],
 )
 def test_formula_errors_name_their_line(tmp_path, capsys, body, step, error):

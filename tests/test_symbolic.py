@@ -509,6 +509,77 @@ def test_shrink_of_a_false_law_drops_every_variable_outside_keep():
     assert reduced.observations["a"] == engine.atom(u)
 
 
+def test_shrink_matches_truth_tables():
+    """shrink drops the variables outside keep that the law fixes; the
+    law becomes exists over them, its split the old one without their
+    literals, and the observation function takes their fixed values on
+    both sides, all read off truth tables.  A false law fixes every
+    variable, to true."""
+    rng = random.Random("shrink-tables")
+    engine = Engine()
+    plain = [engine.variable(s) for s in "pqr"]
+    both = [w for v in plain for w in (v, engine.primed(v))]
+    env = {v.name: v for v in both}
+    rows = [
+        frozenset(v for j, v in enumerate(both) if k >> j & 1)
+        for k in range(2 ** len(both))
+    ]
+
+    def table_of(fn):
+        return {row: fn.holds(row) for row in rows}
+
+    dropped = 0
+    for _ in range(150):
+        law = compile_formula(random_boolean_formula(rng, "pqr", 3), env, engine)
+        for v in rng.sample(plain, rng.randint(0, 2)):
+            law &= engine.atom(v) if rng.random() < 0.5 else ~engine.atom(v)
+        obs = compile_formula(random_boolean_formula(rng, list(env), 3), env, engine)
+        keep = rng.sample(plain, rng.randint(0, 2))
+        reduced = shrink(BeliefStructure(engine, tuple(plain), law, {"a": obs}), keep)
+
+        table = table_of(law)
+        models = [row for row in rows if table[row]]
+        value = {}  # the value the law fixes, for each variable it fixes
+        for v in plain:
+            if all(v in row for row in models):
+                value[v] = True
+            elif not any(v in row for row in models):
+                value[v] = False
+        drop = [v for v in plain if v in value and v not in keep]
+        dropped += len(drop)
+        assert reduced.vocabulary == tuple(v for v in plain if v not in drop)
+        want = table
+        for v in drop:
+            want = {row: want[row - {v}] or want[row | {v}] for row in rows}
+        assert table_of(reduced.law) == want
+        if not law.is_false:
+            assert engine.factors(reduced.law) == [
+                g for g in engine.factors(law) if not g.support() <= set(drop)
+            ]
+
+        def fix(row):
+            for v in drop:
+                pair = {v, engine.primed(v)}
+                row = row | pair if value[v] else row - pair
+            return row
+
+        obs_table = table_of(obs)
+        assert table_of(reduced.observations["a"]) == {row: obs_table[fix(row)] for row in rows}
+    assert dropped >= 150
+
+
+def test_shrink_that_drops_nothing_keeps_the_law(monkeypatch):
+    # the law is the function shrink was given, with no conjunction rebuilt
+    engine = Engine()
+    after = apply_event(coin_start(engine), coin_flip(engine))
+    u, w = engine.variable("u"), engine.variable("w")
+    loose = BeliefStructure(engine, (u, w), engine.atom(u) | engine.atom(w), {"a": engine.true})
+    monkeypatch.setattr(engine, "conjoin_factors", None)
+    for structure in (after.structure, loose):
+        assert shrink(structure, structure.vocabulary).law is structure.law
+    assert shrink(loose).law is loose.law
+
+
 # -- the law's factor split, carried through each update ------------------------
 
 def random_chain(seed: int) -> str:
@@ -809,6 +880,15 @@ def test_structure_validation_errors():
         BeliefStructure(engine, (p,), engine.atom(q), {})
     with pytest.raises(VocabularyError):
         BeliefStructure(engine, (p,), engine.true, {"a": engine.atom(q)})
+    # an observation may mention the vocabulary and its primed copies only
+    pc = engine.fresh_copy(p)
+    fn = engine.conj(engine.atom(v) for v in (p, engine.primed(p), pc, engine.primed(pc)))
+    BeliefStructure(engine, (p, pc), engine.true, {"a": fn})
+    with pytest.raises(
+        VocabularyError,
+        match="^observation function of a mentions non-vocabulary variables: p°, p°'$",
+    ):
+        BeliefStructure(engine, (p,), engine.true, {"a": fn})
     other = Engine()
     with pytest.raises(VocabularyError):
         BeliefStructure(engine, (p,), other.true, {})
@@ -833,12 +913,23 @@ def test_transformer_validation_errors():
         Transformer((q,), TOP, change_laws={p: TOP})
     with pytest.raises(VocabularyError):
         Transformer((q,), TOP, modified=(p,), change_laws={p: parse("[a] q")})
-    with pytest.raises(VocabularyError):
-        Transformer((q,), TOP, event_obs={"a": engine.atom(p)})
+    pp, qq = (engine.atom(v).iff(engine.atom(engine.primed(v))) for v in (p, q))
+    Transformer((q,), TOP, event_obs={"a": qq})
+    with pytest.raises(
+        VocabularyError,
+        match="^event observation of a mentions variables other than the event "
+        "variables: p, p'$",
+    ):
+        Transformer((q,), TOP, event_obs={"a": qq & pp})
     with pytest.raises(VocabularyError):
         Transformer((engine.primed(q),), TOP)
     with pytest.raises(VocabularyError):
         Event(Transformer((q,), TOP), frozenset({p}))
+    # a snapshot keeps an old value; rejecting one allocates no snapshot
+    pc = engine.fresh_copy(p)
+    with pytest.raises(VocabularyError, match="^the modified set must not hold a snapshot: p°$"):
+        Transformer((), TOP, (pc,), {pc: TOP})
+    assert engine.fresh_copy(p).name == "p°2"
 
 
 def test_transform_validation_errors():
