@@ -237,13 +237,22 @@ def subset_formula(present, universe) -> Formula:
 
 # -- parsing ---------------------------------------------------------------
 
+# An identifier names an atom or an agent: a name, optionally a degree
+# sign (or `@o`) with an optional generation number, optionally a prime.
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*(?:(?:°|@o)[0-9]*)?'?"
+
 _TOKEN = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:(?:°|@o)[0-9]*)?'?)
+    rf"""(?P<ws>\s+)
+      | (?P<ident>{IDENT})
       | (?P<op><->|->|[~&|()\[\]])
     """,
     re.VERBOSE,
 )
+
+
+def read_ident(text: str) -> str:
+    """An identifier as formulas name it: `@o` is the degree sign."""
+    return text.replace("@o", "°")
 
 
 @dataclass(frozen=True)
@@ -264,7 +273,7 @@ def _lex(text: str, line0: int = 1) -> list[_Token]:
             raise ParseError(f"stray character {text[pos]!r}", line, col)
         lexeme = m.group(0)
         if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, lexeme.replace("@o", "°"), line, col))
+            tokens.append(_Token(m.lastgroup, read_ident(lexeme), line, col))
         newlines = lexeme.count("\n")
         if newlines:
             line += newlines

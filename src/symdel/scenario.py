@@ -39,7 +39,7 @@ Each keyword other than EVENT and CHECK may appear once per block (the
 top level counts as one), except that CHANGE, OBS, OBS+, REL,
 `PRE e:` and `POST e: v` may appear once per variable, agent or event
 they name.  Names in VARS, STATE, ADDVARS and ASSIGN are plain
-identifiers, with no `°`, `@o` or `'`.
+identifiers, with no `°`, `@o` or `'`; elsewhere `p@o` is `p°`.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .boolfun import Engine
 from .errors import ParseError, SymdelError
 from .explicit import ActionModel, format_point
 from .language import (
+    IDENT,
     TOP,
     Box,
     Formula,
@@ -62,6 +63,7 @@ from .language import (
     format_formula,
     is_boolean,
     parse,
+    read_ident,
     recover_formula,
     subformulas,
 )
@@ -75,8 +77,6 @@ from .symbolic import (
     shrink_scene,
 )
 
-# agent names, and the names CHANGE and POST assign
-_IDENT = r"[A-Za-z_][A-Za-z0-9_]*(?:(?:°|@o)[0-9]*)?'?"
 # the names VARS, STATE, ADDVARS and ASSIGN declare: no decorations
 _VAR = r"[A-Za-z_][A-Za-z0-9_]*"
 _EVENT_ID = r"[^\s:]+"
@@ -103,15 +103,15 @@ _TOP_LEVEL = ("AGENTS", "VARS", "LAW", "OBS", "STATE", "EVENT", "CHECK", "ACTION
 # Keywords whose text names what they are given for, by keyword and the
 # block they are in: the pattern of that text and its form for errors.
 # The last group is the body; the others key the keyword's repeats.
-_NAMED = re.compile(rf"({_IDENT})\s*:\s*(.*)")
+_NAMED = re.compile(rf"({IDENT})\s*:\s*(.*)")
 _KEYED = {
     ("OBS", None): (_NAMED, "<agent>: <formula>"),
     ("OBS+", "EVENT"): (_NAMED, "<agent>: <formula>"),
     ("REL", "ACTION"): (_NAMED, "<agent>: <id>-><id> ..."),
-    ("CHANGE", "EVENT"): (re.compile(rf"({_IDENT})\s*:=\s*(.*)"), "<var> := <formula>"),
+    ("CHANGE", "EVENT"): (re.compile(rf"({IDENT})\s*:=\s*(.*)"), "<var> := <formula>"),
     ("PRE", "ACTION"): (re.compile(rf"({_EVENT_ID})\s*:\s*(.*)"), "<event>: <formula>"),
     ("POST", "ACTION"): (
-        re.compile(rf"({_EVENT_ID})\s*:\s*({_IDENT})\s*:=\s*(.*)"),
+        re.compile(rf"({_EVENT_ID})\s*:\s*({IDENT})\s*:=\s*(.*)"),
         "<event>: <var> := <formula>",
     ),
 }
@@ -168,6 +168,7 @@ def _names(rest: str, what: str, line: int, pattern: str = _VAR) -> list[str]:
     for name in names:
         if not re.fullmatch(pattern, name):
             raise ParseError(f"bad {what} name: {name}", line=line)
+    names = [read_ident(name) for name in names]
     if len(set(names)) != len(names):
         raise ParseError(f"repeated {what} name", line=line)
     return names
@@ -208,7 +209,9 @@ def parse_scenario(text: str) -> Scenario:
             if not m:
                 raise ParseError(f"expected {word} {form}", line=lineno)
             *names, rest = m.groups()
-            key = tuple(names)
+            # PRE and POST name an event first, whose identifier stays as written
+            kept = 1 if word in ("PRE", "POST") else 0
+            key = (*names[:kept], *map(read_ident, names[kept:]))
         elif word in ("EVENT", "ACTION") and rest:
             raise ParseError(f"unexpected text after {word}", line=lineno)
 
@@ -222,7 +225,7 @@ def parse_scenario(text: str) -> Scenario:
             given[word, key] = lineno
 
         if word == "AGENTS":
-            scenario.agents = _names(rest, "agent", lineno, _IDENT)
+            scenario.agents = _names(rest, "agent", lineno, IDENT)
         elif word == "VARS":
             scenario.vars = _names(rest, "variable", lineno)
         elif word == "LAW":
@@ -426,11 +429,19 @@ def build_event(
     """Build the event of one EVENT block against the current structure.
 
     An atom or agent that the structure and the event variables do not
-    declare is a ParseError at its line, as are a CHANGE of a snapshot
-    or one that is not belief-free, and an event variable under a belief
-    operator in PRE: PRE's beliefs are about the structure before the
-    event.
+    declare is a ParseError at its line, as are an event variable the
+    structure already has, a CHANGE of a snapshot or one that is not
+    belief-free, and an event variable under a belief operator in PRE:
+    PRE's beliefs are about the structure before the event.
     """
+    env = structure.env()
+    added = set(spec.add)
+    reused = sorted(added.intersection(env))
+    if reused:
+        raise ParseError(
+            f"event variables already in the vocabulary: {', '.join(reused)}",
+            line=spec.lines["ADDVARS", ()],
+        )
     add = tuple(engine.variable(name) for name in spec.add)
     obs_env = {v.name: v for v in add}
     obs_env.update({engine.primed(v).name: engine.primed(v) for v in add})
@@ -438,31 +449,21 @@ def build_event(
     for agent, phi in spec.obs.items():
         with at_line(spec.lines["OBS+", (agent,)]):
             event_obs[agent] = compile_formula(phi, obs_env, engine)
-    env = structure.env()
-    modified = []
     changes = {}
     for name, phi in spec.changes:
         var = env.get(name)
         if var is None:
-            raise ParseError(
-                f"CHANGE of a variable outside the vocabulary: {name}",
-                line=spec.lines["CHANGE", (name,)],
-            )
-        if var.copy:
-            raise ParseError(
-                f"CHANGE of a snapshot, which keeps an old value: {name}",
-                line=spec.lines["CHANGE", (name,)],
-            )
-        if not is_boolean(phi):
-            raise ParseError(
-                f"change law of {name} is not belief-free",
-                line=spec.lines["CHANGE", (name,)],
-            )
-        modified.append(var)
-        changes[var] = phi
+            fault = f"CHANGE of a variable outside the vocabulary: {name}"
+        elif var.copy:
+            fault = f"CHANGE of a snapshot, which keeps an old value: {name}"
+        elif not is_boolean(phi):
+            fault = f"change law of {name} is not belief-free"
+        else:
+            changes[var] = phi
+            continue
+        raise ParseError(fault, line=spec.lines["CHANGE", (name,)])
     formulas = [(("PRE",), spec.pre)]
     formulas += [(("CHANGE", name), phi) for name, phi in spec.changes]
-    added = set(spec.add)
     _check_names(formulas, spec.lines, spec.line, set(env) | added, set(structure.agents))
     if added:
         # preorder, so the first box found is the outermost at fault
@@ -470,7 +471,7 @@ def build_event(
             for phi in subformulas(spec.pre):
                 if type(phi) is Box:
                     reject_event_variables_under(phi, added)
-    transformer = Transformer(add, spec.pre, tuple(modified), changes, event_obs)
+    transformer = Transformer(add, spec.pre, tuple(changes), changes, event_obs)
     actual = frozenset(engine.variable(name) for name in spec.assign)
     return Event(transformer, actual)
 
@@ -501,7 +502,8 @@ def build_action(
 ) -> tuple[ActionModel, str]:
     """Build the ACTION block's action model and its designated event.
 
-    A POST target, atom or agent outside VARS and AGENTS is a ParseError.
+    A POST target, atom or agent outside VARS and AGENTS is a ParseError
+    at its line, as is a postcondition that is not belief-free.
     """
     declared = set(scenario.vars)
     # each formula with the keyword and key that give it
@@ -509,11 +511,13 @@ def build_action(
     for eid, entries in spec.post.items():
         for name, phi in entries:
             if name not in declared:
-                raise ParseError(
-                    f"POST of a variable outside the vocabulary: {name}",
-                    line=_line(spec.lines, spec.line, "POST", eid, name),
-                )
-            formulas.append((("POST", eid, name), phi))
+                fault = f"POST of a variable outside the vocabulary: {name}"
+            elif not is_boolean(phi):
+                fault = f"postcondition {name} of {eid!r} is not belief-free"
+            else:
+                formulas.append((("POST", eid, name), phi))
+                continue
+            raise ParseError(fault, line=_line(spec.lines, spec.line, "POST", eid, name))
     _check_names(formulas, spec.lines, spec.line, declared, set(scenario.agents))
     for name in scenario.vars:
         engine.variable(name)

@@ -213,35 +213,6 @@ class _View(NamedTuple):
     primed: bool  # the general case primes each operator's body
 
 
-def _observed_levels(engine: Engine, node: _Node) -> list[int] | None:
-    """The levels of O when node is exactly AND_{p in O} (p <-> p'), in
-    diagram order; None when it is any other function.
-
-    Such a diagram is a chain down to true, one link per variable p of
-    O: a node testing plain p at level L whose children both test p' at
-    L + 1, the low one as (next, false) and the high one as
-    (false, next), with the same next link.  True is the empty chain.
-    The first node that breaks the pattern ends the walk.
-    """
-    e = engine._false
-    levels = []
-    while node.var is not None:
-        lo, hi, level = node.lo, node.hi, node.level
-        # the primed copy of the plain variable at L sits at L + 1
-        if (
-            node.var.primed
-            or lo.level != level + 1
-            or hi.level != level + 1
-            or lo.hi is not e
-            or hi.lo is not e
-            or lo.lo is not hi.hi
-        ):
-            return None
-        levels.append(level)
-        node = lo.lo
-    return levels if node is engine._true else None
-
-
 class Translator:
     r"""Boolean translation of formulas against one belief structure.
 
@@ -267,19 +238,23 @@ class Translator:
 
     Where the S5 case applies, both give the same function, and so the
     same diagram node.  The case is decided once per agent, on first
-    use, by one walk of obs_i's diagram (`_observed_levels`); the law
-    is primed only if some agent needs the general relation.  The
-    translation of each subformula is kept, as its diagram node, for
-    the life of the translator.
+    use, by comparing functions: O_i is the plain part of obs_i's
+    support, and obs_i is S5 exactly when it equals the conjunction of
+    p <-> p' over O_i (`Engine.conjoin_factors`).  Nodes are canonical,
+    so the test is exact.  Conjoined from the bottom up, the links
+    rebuild an S5 obs_i's own nodes, so deciding it adds no node to the
+    engine.  The law is primed only if some agent needs the general
+    relation.  The translation of each subformula is kept, as its
+    diagram node, for the life of the translator.
     """
 
     def __init__(self, structure: BeliefStructure):
         # Not the structure itself, which caches its translator.
         self.observations = structure.observations
-        self.engine = engine = structure.engine
+        self.engine = structure.engine
         self.env = structure.env()
+        self.vocabulary = structure.vocabulary
         self._law = structure.law.node
-        self._plain = frozenset(engine.level(v) for v in structure.vocabulary)
         self._general = None  # law' and V', shared by the general views
         self._views: dict[str, _View] = {}
         self._memo: dict[Formula, _Node] = {}
@@ -294,13 +269,19 @@ class Translator:
             if obs is None:
                 raise EvalError(f"unknown agent: {agent}")
             engine = self.engine
-            observed = _observed_levels(engine, obs.node)
-            if observed is not None:
-                hidden = self._plain.difference(observed)
+            support = obs.support()
+            observed = [engine.atom(v) for v in support if not v.primed]
+            s5 = engine.conjoin_factors(p.iff(engine.prime(p)) for p in observed)
+            if s5 == obs:
+                hidden = frozenset(
+                    engine.level(v) for v in self.vocabulary if v not in support
+                )
                 view = _View(self._law, hidden, max(hidden, default=-1), False)
             else:
                 if self._general is None:
-                    primed = frozenset(level + 1 for level in self._plain)
+                    primed = frozenset(
+                        engine.level(engine.primed(v)) for v in self.vocabulary
+                    )
                     self._general = (
                         engine._prime(self._law), primed, max(primed, default=-1)
                     )

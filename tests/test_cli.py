@@ -556,11 +556,17 @@ def test_translate_rejects_undeclared_names(tmp_path, capsys, target, block, nam
         ("LAW ~p\nSTATE p\nEVENT\n", "", "line 4: the designated state violates the state law"),
         ("STATE p\nLAW ~p\nEVENT\n", "", "line 3: the designated state violates the state law"),
         ("LAW p\nEVENT\n", "", "line 3: the designated state violates the state law"),
+        (
+            "EVENT\nADDVARS x p\n",
+            "step 1: ",
+            "line 4: event variables already in the vocabulary: p",
+        ),
     ],
     ids=[
         "law", "obs", "change_atom", "pre_agent", "obs_belief", "change_belief",
         "obs_plus", "pre_event_variable_believed", "pre_event_variable_nested",
         "state_violates_law", "state_before_law_violates_it", "no_state_violates_law",
+        "addvars_reuses_a_vocabulary_variable",
     ],
 )
 def test_formula_errors_name_their_line(tmp_path, capsys, body, step, error):
@@ -570,6 +576,65 @@ def test_formula_errors_name_their_line(tmp_path, capsys, body, step, error):
     assert (code, out, err) == (2, "", f"{path}: {step}{error}\n")
     code, out, err = run(capsys, "translate", str(path), "--to", "action")
     assert (code, out, err) == (2, "", f"{path}: {error}\n")
+
+
+def test_event_variable_of_an_earlier_event_names_its_line(tmp_path, capsys):
+    path = tmp_path / "reused.scn"
+    events = "AGENTS a\nVARS p\nEVENT\nADDVARS x\nEVENT\nADDVARS y x\n"
+    error = "line 6: event variables already in the vocabulary: x"
+    path.write_text(events, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", f"{path}: step 2: {error}\n")
+    path.write_text(events + "ACTION\nEVENTS e0\nDESIGNATED e0\n", encoding="utf-8")
+    code, out, err = run(capsys, "translate", str(path), "--to", "transformer")
+    assert (code, out, err) == (2, "", f"{path}: {error}\n")
+
+
+def test_translate_postcondition_with_a_belief_names_its_line(tmp_path, capsys):
+    path = tmp_path / "post.scn"
+    path.write_text(
+        "AGENTS a\nVARS p\nACTION\nEVENTS e\nPOST e: p := [a] p\nDESIGNATED e\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "translate", str(path), "--to", "transformer")
+    error = "line 5: postcondition p of 'e' is not belief-free"
+    assert (code, out, err) == (2, "", f"{path}: {error}\n")
+
+
+def test_change_of_a_snapshot_spelled_with_at_o(tmp_path, capsys):
+    # `p@o` is `p°` in a CHANGE key, as it is in formulas
+    path = tmp_path / "snapshot.scn"
+    events = "AGENTS a\nVARS p\nSTATE p\nEVENT\nCHANGE p := ~p\nEVENT\nCHANGE p@o := Top\n"
+    error = "line 7: CHANGE of a snapshot, which keeps an old value: p°"
+    path.write_text(events, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", f"{path}: step 2: {error}\n")
+    path.write_text(events + "ACTION\nEVENTS e0\nDESIGNATED e0\n", encoding="utf-8")
+    code, out, err = run(capsys, "translate", str(path), "--to", "transformer")
+    assert (code, out, err) == (2, "", f"{path}: {error}\n")
+
+
+def test_agent_names_read_at_o_as_the_degree_sign(tmp_path, capsys):
+    path = tmp_path / "agents.scn"
+    path.write_text(
+        "AGENTS a@o b\nVARS p\nOBS a°: p <-> p'\nSTATE p\n"
+        "CHECK [a@o] p EXPECT true\nCHECK [a°] p EXPECT true\nCHECK [b] p EXPECT false\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (0, ""), err
+    assert "  obs a°: p <-> p'\n" in out
+    # the two spellings name one agent
+    path.write_text("AGENTS a°\nVARS p\nOBS a@o: Top\nOBS a°: Top\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", f"{path}: line 4: OBS given twice for a°\n")
+    path.write_text(
+        "AGENTS a°\nVARS p\nACTION\nEVENTS e0 e1\nREL a@o: e0->e0 e1->e1\nDESIGNATED e0\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "translate", str(path), "--to", "transformer")
+    assert (code, err) == (0, ""), err
+    assert out.startswith("AGENTS a°\n")
 
 
 CHECK_HEAD = "AGENTS a\nVARS p\nLAW p\nSTATE p\nEVENT\nADDVARS x\nCHANGE p := x\nASSIGN x\n"

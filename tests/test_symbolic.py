@@ -7,7 +7,9 @@ so these assertions pin the semantics, not just the printed shape.
 """
 
 import gc
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -826,6 +828,114 @@ def test_chains_of_s5_events_stay_on_the_s5_path(minimize):
     assert paths(sally_anne(2)) == [
         {"Sally": step < 3, "Anne": True} for step in range(9)
     ]
+
+
+# Spellings of p <-> p', and near misses of it, for a variable p and
+# another variable q.
+S5_LINKS = [
+    "{p} <-> {p}'",
+    "{p}' <-> {p}",
+    "({p} & {p}') | (~{p} & ~{p}')",
+    "~({p} <-> ~{p}')",
+    "({p} -> {p}') & ({p}' -> {p})",
+    "~{p} <-> ~{p}'",
+]
+NEAR_LINKS = [
+    "{p} <-> ~{p}'",
+    "{p} -> {p}'",
+    "{p} <-> {q}'",
+    "{p} <-> {q}",
+    "{p}' <-> {q}'",
+    "{p}'",
+    "{p}",
+    "{p} | {p}'",
+    "Bot",
+]
+
+
+def s5_by_truth_table(formula, names) -> bool:
+    """Whether some set O of the names makes the formula true at exactly
+    the pairs of valuations of the names and their primes that agree on
+    O, by evaluating the formula on every row."""
+    rows = {}
+    for bits in range(4 ** len(names)):
+        now = [bits >> k & 1 for k in range(len(names))]
+        then = [bits >> (len(names) + k) & 1 for k in range(len(names))]
+        true = {n for n, b in zip(names, now) if b} | {
+            n + "'" for n, b in zip(names, then) if b
+        }
+        rows[tuple(now), tuple(then)] = bf_truth(formula, true)
+    return any(
+        all(value == all(now[k] == then[k] for k in observed)
+            for (now, then), value in rows.items())
+        for size in range(len(names) + 1)
+        for observed in itertools.combinations(range(len(names)), size)
+    )
+
+
+def random_observation(rng: random.Random, names) -> str:
+    """An observation text: AND (p <-> p') over a random subset, in
+    random spellings and order and sometimes with a repeated link and
+    Top; the same with a near miss in place of a link or as one more
+    conjunct; or a random formula over the names and their primes."""
+    roll = rng.random()
+    if roll < 0.2:
+        atoms = list(names) + [n + "'" for n in names]
+        return format_formula(random_boolean_formula(rng, atoms, 3))
+    observed = [n for n in names if rng.random() < 0.6]
+    links = [rng.choice(S5_LINKS).format(p=n) for n in observed]
+    if rng.random() < 0.2:
+        links += links[:1] + ["Top"]
+    if roll < 0.6:
+        p, q = rng.sample(names, 2)
+        near = rng.choice(NEAR_LINKS).format(p=p, q=q)
+        if links and rng.random() < 0.5:
+            links[rng.randrange(len(links))] = near
+        else:
+            links.append(near)
+    rng.shuffle(links)
+    return " & ".join(f"({link})" for link in links) or "Top"
+
+
+def test_s5_decision_matches_a_truth_table():
+    rng = random.Random("s5-decision")
+    seen = Counter()
+    for case in range(300):
+        engine = Engine()
+        names = "pqrs"[: rng.randint(2, 4)]
+        vocab = tuple(engine.variable(n) for n in names)
+        env = {v.name: v for v in vocab}
+        env.update({engine.primed(v).name: engine.primed(v) for v in vocab})
+        law = engine.false
+        while law.is_false:
+            law = compile_formula(random_boolean_formula(rng, names, 3), env, engine)
+        text = random_observation(rng, names)
+        formula = parse(text)
+        structure = BeliefStructure(
+            engine, vocab, law, {"a": compile_formula(formula, env, engine)}
+        )
+        expected = s5_by_truth_table(formula, names)
+        assert takes_s5_path(structure, "a") == expected, (case, text)
+        seen[expected] += 1
+        oracle = QuantifiedImplication(structure)
+        for query in [f"[a] {n}" for n in names] + [f"[a] ({names[0]} -> {names[1]})"]:
+            phi = parse(query)
+            assert structure.translator.fn(phi) == oracle.fn(phi), (case, text, query)
+    assert min(seen[True], seen[False]) >= 100, seen
+
+
+def test_deciding_an_s5_observation_adds_no_node():
+    rng = random.Random("s5-nodes")
+    for case in range(50):
+        engine = Engine()
+        vocab = [engine.variable(n) for n in "pqrstu"[: rng.randint(1, 6)]]
+        observed = [v for v in vocab if rng.random() < 0.7]
+        rng.shuffle(observed)
+        obs = observing(engine, observed)
+        structure = BeliefStructure(engine, tuple(vocab), engine.true, {"a": obs})
+        built = len(engine._unique)
+        assert takes_s5_path(structure, "a"), case
+        assert len(engine._unique) == built, case
 
 
 # -- translation guards -------------------------------------------------------
