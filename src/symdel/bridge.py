@@ -90,8 +90,8 @@ def act(event: Event) -> tuple[ActionModel, frozenset]:
         binding = {v.name: (TOP if v in sub else BOT) for v in add}
         pre[eid] = substitute(transformer.event_law, binding)
         post[eid] = {
-            v.name: substitute(transformer.change_laws[v], binding)
-            for v in transformer.modified
+            v.name: substitute(phi, binding)
+            for v, phi in transformer.change_laws.items()
         }
     relations = {
         agent: relation_of(obs, points)
@@ -123,21 +123,17 @@ def trf_with_labels(
         return subset_formula({v.name for v in label[a]}, label_names)
 
     event_law = disj([conj([action.pre[a], cube(a)]) for a in action.events])
-    changed = action.changed_props()
-    modified = tuple(engine.variable(p) for p in changed)
     change_laws = {
         v: disj(
             [conj([cube(a), action.post_formula(a, v.stem)]) for a in action.events]
         )
-        for v in modified
+        for v in map(engine.variable, action.changed_props())
     }
     event_obs = {
         agent: observation_of(engine, rel, label, labels)
         for agent, rel in action.relations.items()
     }
-    transformer = Transformer(
-        tuple(labels), event_law, modified, change_laws, event_obs
-    )
+    transformer = Transformer(tuple(labels), event_law, change_laws, event_obs)
     return transformer, frozenset(label[designated]), label
 
 
@@ -314,9 +310,9 @@ def _random_event(rng, scene: Scene) -> Event:
     event_law = _random_formula(
         rng, vocab_names + add_names, agents, 2, box_atoms=vocab_names
     )
-    modified = tuple(rng.sample(vocab, rng.randint(0, min(_CHANGED, len(vocab)))))
+    changed = rng.sample(vocab, rng.randint(0, min(_CHANGED, len(vocab))))
     change_laws = {
-        v: _random_bool(rng, vocab_names + add_names, 2) for v in modified
+        v: _random_bool(rng, vocab_names + add_names, 2) for v in changed
     }
     obs_env = {v.name: v for v in add}
     obs_env.update({engine.primed(v).name: engine.primed(v) for v in add})
@@ -327,7 +323,7 @@ def _random_event(rng, scene: Scene) -> Event:
     }
     actual = frozenset(v for v in add if rng.random() < 0.5)
     return Event(
-        Transformer(add, event_law, modified, change_laws, event_obs), actual
+        Transformer(add, event_law, change_laws, event_obs), actual
     )
 
 

@@ -5,9 +5,11 @@ each event in order printing the structure after it, and evaluates the
 CHECK queries.  translate converts between the two update descriptions
 (an EVENT block into an ACTION block and back); for either target it
 checks every EVENT block and every CHECK as check does, except that the
-events need not be executable.  prove runs the seeded equivalence
-suites between the symbolic and the explicit pipeline, on instances
-drawn within the bounds its flags set.
+events need not be executable.  Every command rejects a malformed
+ACTION block, which the parser checks, though only translate builds
+it.  prove runs the seeded equivalence suites between the symbolic and
+the explicit pipeline, on instances drawn within the bounds its flags
+set.
 
 Exit codes: 0 success, 1 a failed CHECK expectation or a found
 counterexample, 2 bad input.  main alone turns bad input into exit 2:

@@ -34,6 +34,9 @@ agent learns nothing), omitted REL to the empty relation, omitted
 STATE and ASSIGN to the empty set.  CHECK without `after` runs after
 the last event; N in `CHECK after N` must be at most the number of
 EVENT blocks.  EXPECT turns the query into a pass/fail assertion.
+The parser checks the ACTION block whole (DESIGNATED given, POST
+targets in VARS, postconditions belief-free, names declared), so every
+command rejects a malformed one.
 
 Each keyword other than EVENT and CHECK may appear once per block (the
 top level counts as one), except that CHANGE, OBS, OBS+, REL,
@@ -386,6 +389,23 @@ def _validate(scenario: Scenario) -> None:
                 f"DESIGNATED undeclared event: {action.designated}",
                 line=_line(action.lines, action.line, "DESIGNATED"),
             )
+        # each formula with the keyword and key that give it
+        formulas = [(("PRE", eid), phi) for eid, phi in action.pre.items()]
+        for eid, entries in action.post.items():
+            for name, phi in entries:
+                if name not in declared:
+                    fault = f"POST of a variable outside the vocabulary: {name}"
+                elif not is_boolean(phi):
+                    fault = f"postcondition {name} of {eid!r} is not belief-free"
+                else:
+                    formulas.append((("POST", eid, name), phi))
+                    continue
+                raise ParseError(
+                    fault, line=_line(action.lines, action.line, "POST", eid, name)
+                )
+        _check_names(formulas, action.lines, action.line, declared, agents)
+        if action.designated is None:
+            raise ParseError("ACTION block without DESIGNATED", line=action.line)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -471,7 +491,7 @@ def build_event(
             for phi in subformulas(spec.pre):
                 if type(phi) is Box:
                     reject_event_variables_under(phi, added)
-    transformer = Transformer(add, spec.pre, tuple(changes), changes, event_obs)
+    transformer = Transformer(add, spec.pre, changes, event_obs)
     actual = frozenset(engine.variable(name) for name in spec.assign)
     return Event(transformer, actual)
 
@@ -482,18 +502,18 @@ def run_events(
     """Apply the scenario's events to `scene` in order, yielding each
     event with the scene after it.
 
-    With `minimize`, every scene is shrunk, keeping the starting
-    vocabulary and the event variables issued so far, so only
-    snapshots go.  An event that fails raises when its step is reached.
+    With `minimize`, every scene is shrunk, keeping every plain
+    variable (the starting vocabulary and the event variables issued so
+    far), so only snapshots go.  An event that fails raises when its
+    step is reached.
     """
     engine = scene.structure.engine
-    keep = list(scene.structure.vocabulary)
     for spec in scenario.events:
         event = build_event(spec, scene.structure, engine)
         scene = apply_event(scene, event)
-        keep.extend(event.transformer.add_vocab)
         if minimize:
-            scene = shrink_scene(scene, keep)
+            plain = [v for v in scene.structure.vocabulary if not v.copy]
+            scene = shrink_scene(scene, plain)
         yield event, scene
 
 
@@ -502,23 +522,8 @@ def build_action(
 ) -> tuple[ActionModel, str]:
     """Build the ACTION block's action model and its designated event.
 
-    A POST target, atom or agent outside VARS and AGENTS is a ParseError
-    at its line, as is a postcondition that is not belief-free.
+    `parse_scenario` has checked the block, so this only builds.
     """
-    declared = set(scenario.vars)
-    # each formula with the keyword and key that give it
-    formulas = [(("PRE", eid), phi) for eid, phi in spec.pre.items()]
-    for eid, entries in spec.post.items():
-        for name, phi in entries:
-            if name not in declared:
-                fault = f"POST of a variable outside the vocabulary: {name}"
-            elif not is_boolean(phi):
-                fault = f"postcondition {name} of {eid!r} is not belief-free"
-            else:
-                formulas.append((("POST", eid, name), phi))
-                continue
-            raise ParseError(fault, line=_line(spec.lines, spec.line, "POST", eid, name))
-    _check_names(formulas, spec.lines, spec.line, declared, set(scenario.agents))
     for name in scenario.vars:
         engine.variable(name)
     relations = {
@@ -526,8 +531,6 @@ def build_action(
     }
     post = {eid: dict(entries) for eid, entries in spec.post.items()}
     action = ActionModel(tuple(spec.events), relations, dict(spec.pre), post)
-    if spec.designated is None:
-        raise ParseError("ACTION block without DESIGNATED", line=spec.line)
     return action, spec.designated
 
 
@@ -541,8 +544,8 @@ def format_event_block(transformer: Transformer, actual) -> str:
         lines.append(f"  ADDVARS {names}")
     if transformer.event_law != TOP:
         lines.append(f"  PRE {format_formula(transformer.event_law)}")
-    for v in transformer.modified:
-        lines.append(f"  CHANGE {v.name} := {format_formula(transformer.change_laws[v])}")
+    for v, phi in transformer.change_laws.items():
+        lines.append(f"  CHANGE {v.name} := {format_formula(phi)}")
     for agent, obs in transformer.event_obs.items():
         if not obs.is_true:
             lines.append(f"  OBS+ {agent}: {format_formula(recover_formula(obs))}")

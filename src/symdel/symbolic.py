@@ -146,33 +146,26 @@ class Transformer:
     vocabulary; event variables must stay outside their scope.  Change
     laws and event observations are belief-free; event observations may
     mention only event variables and their primes.  The modified
-    variables are live ones, not snapshots, which keep old values.
+    variables are the keys of `change_laws`, in its order; they are live
+    ones, not snapshots, which keep old values.
     """
 
     add_vocab: tuple[VarId, ...]
     event_law: Formula
-    modified: tuple[VarId, ...] = ()
     change_laws: Mapping[VarId, Formula] = field(default_factory=dict)
     event_obs: Mapping[str, BoolFn] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "add_vocab", tuple(self.add_vocab))
-        object.__setattr__(self, "modified", tuple(self.modified))
         object.__setattr__(self, "change_laws", dict(self.change_laws))
         object.__setattr__(self, "event_obs", dict(self.event_obs))
         _check_plain_distinct(self.add_vocab, "the event vocabulary")
-        _check_plain_distinct(self.modified, "the modified set")
-        for v in self.modified:
+        _check_plain_distinct(self.change_laws, "the modified set")
+        for v, phi in self.change_laws.items():
             if v.copy:
                 raise VocabularyError(
                     f"the modified set must not hold a snapshot: {v.name}"
                 )
-        mod = set(self.modified)
-        if set(self.change_laws) != mod:
-            raise VocabularyError(
-                "change laws must cover exactly the modified variables"
-            )
-        for v, phi in self.change_laws.items():
             if not is_boolean(phi):
                 raise VocabularyError(f"change law of {v.name} is not belief-free")
         engines = {obs.engine for obs in self.event_obs.values()}
@@ -186,6 +179,11 @@ class Transformer:
                     f"event observation of {agent} mentions variables "
                     f"other than the event variables: {_name_list(stray)}"
                 )
+
+    @property
+    def modified(self) -> tuple[VarId, ...]:
+        """The modified variables: the keys of `change_laws`, in its order."""
+        return tuple(self.change_laws)
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,7 +405,7 @@ def transform_with_copies(
         raise VocabularyError(
             f"event variables already in the vocabulary: {_name_list(overlap)}"
         )
-    stray = set(transformer.modified) - vocab
+    stray = transformer.change_laws.keys() - vocab
     if stray:
         raise VocabularyError(
             f"modified variables outside the vocabulary: {_name_list(stray)}"
@@ -429,20 +427,20 @@ def transform_with_copies(
         for v, phi in transformer.change_laws.items()
     }
 
-    copies = {v: engine.fresh_copy(v) for v in transformer.modified}
+    copies = {v: engine.fresh_copy(v) for v in change_fns}
     copies_primed = {
         engine.primed(v): engine.primed(c) for v, c in copies.items()
     }
 
-    reach = set(transformer.modified).union(
+    reach = set(change_fns).union(
         law_event.support(), *[fn.support() for fn in change_fns.values()]
     )
     touched, kept = [], []
     for g in engine.factors(structure.law):
         (kept if reach.isdisjoint(g.support()) else touched).append(g)
     law_new = engine.rename(engine.conj(touched) & law_event, copies)
-    for v in transformer.modified:
-        law_new &= engine.atom(v).iff(engine.rename(change_fns[v], copies))
+    for v, fn in change_fns.items():
+        law_new &= engine.atom(v).iff(engine.rename(fn, copies))
     if kept:
         # the kept factors and the new group's share no variable, so
         # together they are the new law's finest split
@@ -456,11 +454,7 @@ def transform_with_copies(
         for agent, obs in structure.observations.items()
     }
 
-    vocab_new = (
-        structure.vocabulary
-        + transformer.add_vocab
-        + tuple(copies[v] for v in transformer.modified)
-    )
+    vocab_new = structure.vocabulary + transformer.add_vocab + tuple(copies.values())
     return Update(
         BeliefStructure(engine, vocab_new, law_new, observations_new),
         copies,

@@ -95,7 +95,6 @@ def test_criterion_2_coin_flip_transform_and_minimize():
         Transformer(
             (q,),
             TOP,
-            (p,),
             {p: Atom("q")},
             {
                 "a": engine.true,

@@ -77,7 +77,6 @@ def coin_event(engine: Engine) -> Event:
         Transformer(
             add_vocab=(q,),
             event_law=TOP,
-            modified=(p,),
             change_laws={p: Atom("q")},
             event_obs={
                 "a": engine.true,
@@ -157,7 +156,6 @@ def test_act_substitutes_event_variables_into_laws():
         Transformer(
             (x,),
             parse("x -> [a] p"),
-            (p,),
             {p: parse("p & ~x")},
             {"a": engine.true},
         ),

@@ -601,6 +601,34 @@ def test_translate_postcondition_with_a_belief_names_its_line(tmp_path, capsys):
     assert (code, out, err) == (2, "", f"{path}: {error}\n")
 
 
+@pytest.mark.parametrize(
+    "action, error",
+    [
+        (
+            "EVENTS e\nPOST e: p := [a] p\nDESIGNATED e\n",
+            "line 7: postcondition p of 'e' is not belief-free",
+        ),
+        ("EVENTS e\n", "line 5: ACTION block without DESIGNATED"),
+    ],
+    ids=["postcondition_with_a_belief", "no_designated"],
+)
+def test_every_command_rejects_a_malformed_action_block(tmp_path, capsys, action, error):
+    # the parser checks the block, so the commands that never build it
+    # reject it too, with the same message
+    path = tmp_path / "action.scn"
+    path.write_text(
+        f"AGENTS a\nVARS p\nEVENT\nCHANGE p := ~p\nACTION\n{action}", encoding="utf-8"
+    )
+    for argv in (
+        ["check"],
+        ["check", "--minimize", "--json"],
+        ["translate", "--to", "action"],
+        ["translate", "--to", "transformer"],
+    ):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (2, "", f"{path}: {error}\n"), argv
+
+
 def test_change_of_a_snapshot_spelled_with_at_o(tmp_path, capsys):
     # `p@o` is `p°` in a CHANGE key, as it is in formulas
     path = tmp_path / "snapshot.scn"

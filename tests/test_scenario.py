@@ -315,22 +315,18 @@ def test_build_action_defaults_and_designated():
         "b": frozenset(),
     }
 
-    # a stray name is reported at the line of its PRE or POST
+    # the parser rejects a stray name at the line of its PRE or POST, a
+    # POST with a belief operator, and a block without DESIGNATED
     head = "AGENTS a\nVARS p\nACTION\nEVENTS e f\nPRE f: p\n"
     for body, error in (
         ("POST e: p := Top\nPOST f: z := p\n", "line 7: POST of a variable outside the vocabulary: z"),
         ("POST e: p := Top\nPOST f: p := y\n", "line 7: unbound atom: y"),
         ("PRE e: [b] p\nPOST f: p := p\n", "line 6: unknown agent: b"),
+        ("POST f: p := [a] p\n", "line 6: postcondition p of 'f' is not belief-free"),
     ):
-        stray = parse_scenario(head + body + "DESIGNATED e\n")
-        with pytest.raises(ParseError) as err:
-            build_action(stray.action, stray, Engine())
-        assert str(err.value) == error, body
-
-    missing = parse_scenario("AGENTS a\nVARS p\nACTION\nEVENTS e\n")
-    with pytest.raises(ParseError) as err:
-        build_action(missing.action, missing, Engine())
-    assert "DESIGNATED" in str(err.value)
+        assert _error(head + body + "DESIGNATED e\n") == error, body
+    missing = "AGENTS a\nVARS p\nACTION\nEVENTS e\n"
+    assert _error(missing) == "line 3: ACTION block without DESIGNATED"
 
 
 # -- rendering ------------------------------------------------------------------
@@ -363,7 +359,6 @@ def test_format_event_block_golden():
     transformer = Transformer(
         add_vocab=(q,),
         event_law=TOP,
-        modified=(p,),
         change_laws={p: Atom("q")},
         event_obs={
             "a": engine.true,
@@ -416,7 +411,6 @@ def test_event_block_round_trips_through_the_parser():
     transformer = Transformer(
         add_vocab=(q,),
         event_law=parse("[a] p"),
-        modified=(p,),
         change_laws={p: parse("q | p")},
         event_obs={
             "a": engine.atom(q).iff(engine.atom(engine.primed(q))),

@@ -46,7 +46,13 @@ from symdel.language import (
     format_formula,
     parse,
 )
-from symdel.scenario import build_event, build_scene, parse_scenario, run_events
+from symdel.scenario import (
+    build_event,
+    build_scene,
+    format_event_block,
+    parse_scenario,
+    run_events,
+)
 from symdel import symbolic
 from symdel.symbolic import (
     BeliefStructure,
@@ -85,7 +91,6 @@ def coin_flip(engine: Engine) -> Event:
         Transformer(
             add_vocab=(q,),
             event_law=TOP,
-            modified=(engine.variable("p"),),
             change_laws={engine.variable("p"): Atom("q")},
             event_obs={
                 "a": engine.true,
@@ -184,7 +189,6 @@ def test_public_change_schema():
     change = Transformer(
         add_vocab=(),
         event_law=TOP,
-        modified=(u,),
         change_laws={u: parse("~r")},
         event_obs={"a": engine.true},
     )
@@ -243,7 +247,6 @@ def test_false_belief_story_exact():
         transformer = Transformer(
             add_vocab=tuple(add),
             event_law=law,
-            modified=(modified,),
             change_laws={modified: change},
             event_obs=dict(obs or both),
         )
@@ -751,7 +754,6 @@ def s5_chain(seed: int):
             transformer = Transformer(
                 (x,),
                 random_boolean_formula(rng, event_names, 2),
-                (changed,),
                 {changed: random_boolean_formula(rng, event_names, 2)},
                 {a: observing(engine, [x][: rng.randrange(2)]) for a in observed},
             )
@@ -1017,12 +1019,10 @@ def test_structure_validation_errors():
 def test_transformer_validation_errors():
     engine = Engine()
     p, q = engine.variable("p"), engine.variable("q")
-    with pytest.raises(VocabularyError):
-        Transformer((q,), TOP, modified=(p,))
-    with pytest.raises(VocabularyError):
-        Transformer((q,), TOP, change_laws={p: TOP})
-    with pytest.raises(VocabularyError):
-        Transformer((q,), TOP, modified=(p,), change_laws={p: parse("[a] q")})
+    with pytest.raises(VocabularyError, match="^change law of p is not belief-free$"):
+        Transformer((q,), TOP, change_laws={p: parse("[a] q")})
+    with pytest.raises(VocabularyError, match="^the modified set must be unprimed: p'$"):
+        Transformer((q,), TOP, change_laws={engine.primed(p): TOP})
     pp, qq = (engine.atom(v).iff(engine.atom(engine.primed(v))) for v in (p, q))
     Transformer((q,), TOP, event_obs={"a": qq})
     with pytest.raises(
@@ -1038,8 +1038,24 @@ def test_transformer_validation_errors():
     # a snapshot keeps an old value; rejecting one allocates no snapshot
     pc = engine.fresh_copy(p)
     with pytest.raises(VocabularyError, match="^the modified set must not hold a snapshot: p°$"):
-        Transformer((), TOP, (pc,), {pc: TOP})
+        Transformer((), TOP, {pc: TOP})
     assert engine.fresh_copy(p).name == "p°2"
+
+
+def test_modified_variables_follow_the_change_laws_order():
+    # the snapshots and the printed CHANGE lines come in this order
+    engine = Engine()
+    p, q, r = (engine.variable(name) for name in "pqr")
+    transformer = Transformer((), TOP, {r: TOP, p: parse("~q"), q: TOP})
+    assert transformer.modified == (r, p, q)
+    structure = BeliefStructure(engine, (p, q, r), engine.true, {})
+    update = transform_with_copies(structure, transformer)
+    assert [v.name for v in update.structure.vocabulary] == ["p", "q", "r", "r°", "p°", "q°"]
+    assert format_event_block(transformer, frozenset()).splitlines()[1:] == [
+        "  CHANGE r := Top",
+        "  CHANGE p := ~q",
+        "  CHANGE q := Top",
+    ]
 
 
 def test_transform_validation_errors():
@@ -1055,7 +1071,7 @@ def test_transform_validation_errors():
     with pytest.raises(VocabularyError):
         transform_with_copies(
             scene.structure,
-            Transformer((), TOP, (r,), {r: TOP}, agents),
+            Transformer((), TOP, {r: TOP}, agents),
         )
     with pytest.raises(VocabularyError):
         transform_with_copies(
