@@ -77,7 +77,6 @@ from .symbolic import (
     Transformer,
     apply_event,
     reject_event_variables_under,
-    shrink_scene,
 )
 
 # the names VARS, STATE, ADDVARS and ASSIGN declare: no decorations
@@ -504,16 +503,19 @@ def run_events(
 
     With `minimize`, every scene is shrunk, keeping every plain
     variable (the starting vocabulary and the event variables issued so
-    far), so only snapshots go.  An event that fails raises when its
-    step is reached.
+    far), so only snapshots go.  Each event is one `apply_event` with
+    that keep set, which makes no snapshot whose value the law fixes
+    before the event.  An event that fails raises when its step is
+    reached.
     """
     engine = scene.structure.engine
+    keep = None
     for spec in scenario.events:
         event = build_event(spec, scene.structure, engine)
-        scene = apply_event(scene, event)
         if minimize:
-            plain = [v for v in scene.structure.vocabulary if not v.copy]
-            scene = shrink_scene(scene, plain)
+            keep = [v for v in scene.structure.vocabulary if not v.copy]
+            keep += event.transformer.add_vocab
+        scene = apply_event(scene, event, keep)
         yield event, scene
 
 

@@ -309,9 +309,9 @@ def scene_eval(scene: Scene, formula: Formula) -> bool:
 class Update(NamedTuple):
     """A structure updated by a transformer, with the map to its states.
 
-    copies sends each modified variable to its snapshot; change_fns are
-    the compiled change laws, over the old vocabulary and the event
-    variables.
+    copies sends each modified variable that keeps a snapshot to it;
+    change_fns are the compiled change laws, over the old vocabulary
+    and the event variables.
     """
 
     structure: BeliefStructure
@@ -322,9 +322,12 @@ class Update(NamedTuple):
         """The new state for an old state and the event variables that
         happened: snapshots keep the old values of the modified
         variables, the event variables are set as they happened, and
-        each modified variable takes its change law's old-state value."""
+        each modified variable takes its change law's old-state value.
+        A modified variable without a snapshot leaves its old value
+        nowhere."""
         old = state | actual
         out = {self.copies.get(v, v) for v in state}
+        out.difference_update(self.change_fns)
         out.update(actual)
         out.update(v for v, fn in self.change_fns.items() if fn.holds(old))
         return frozenset(out)
@@ -377,7 +380,9 @@ def reject_event_variables_under(box: Box, added: set[str]) -> None:
 
 
 def transform_with_copies(
-    structure: BeliefStructure, transformer: Transformer
+    structure: BeliefStructure,
+    transformer: Transformer,
+    keep: Iterable[VarId] | None = None,
 ) -> Update:
     """Update the structure, returning it with its snapshot map and
     compiled change laws.
@@ -397,6 +402,16 @@ def transform_with_copies(
     of that group they are the new law's finest split.  When any carried
     over, the split is recorded with the law (`Engine.conjoin_factors`),
     so the next update reads it rather than walking the law.
+
+    With keep, the update makes no snapshot that `shrink` with keep
+    would drop at once: a modified variable whose old value the law
+    fixes (its literal is one of the law's factors, and the only one
+    that mentions it) has its literal left out of the split, that value
+    put in for it in the event law, the change laws and, on both sides,
+    the observations, and no snapshot in the new vocabulary or in
+    copies.  Its snapshot generation is still allocated, so later names
+    and levels are as without keep.  The result is what `shrink` with
+    keep leaves of those snapshots; other fixed variables stay.
     """
     engine = structure.engine
     vocab = set(structure.vocabulary)
@@ -428,18 +443,35 @@ def transform_with_copies(
     }
 
     copies = {v: engine.fresh_copy(v) for v in change_fns}
+    split = engine.factors(structure.law)
+    changes, observations = change_fns, structure.observations
+    if keep is not None:
+        keep = set(keep)
+        fixed = _literals(split, [v for v in change_fns if copies[v] not in keep])
+        if fixed:
+            cube = engine.conj(fixed.values())
+            law_event = engine.and_exists(law_event, cube, fixed)
+            changes = {
+                v: engine.and_exists(fn, cube, fixed) for v, fn in changes.items()
+            }
+            observations = _fix(engine, observations, fixed)
+            gone = set(fixed.values())
+            split = [g for g in split if g not in gone]
+            # allocated all the same, so later snapshots keep their names
+            for v in fixed:
+                del copies[v]
     copies_primed = {
         engine.primed(v): engine.primed(c) for v, c in copies.items()
     }
 
-    reach = set(change_fns).union(
-        law_event.support(), *[fn.support() for fn in change_fns.values()]
+    reach = set(changes).union(
+        law_event.support(), *[fn.support() for fn in changes.values()]
     )
     touched, kept = [], []
-    for g in engine.factors(structure.law):
+    for g in split:
         (kept if reach.isdisjoint(g.support()) else touched).append(g)
     law_new = engine.rename(engine.conj(touched) & law_event, copies)
-    for v, fn in change_fns.items():
+    for v, fn in changes.items():
         law_new &= engine.atom(v).iff(engine.rename(fn, copies))
     if kept:
         # the kept factors and the new group's share no variable, so
@@ -451,7 +483,7 @@ def transform_with_copies(
     both = {**copies, **copies_primed}
     observations_new = {
         agent: engine.rename(obs, both) & transformer.event_obs[agent]
-        for agent, obs in structure.observations.items()
+        for agent, obs in observations.items()
     }
 
     vocab_new = structure.vocabulary + transformer.add_vocab + tuple(copies.values())
@@ -462,16 +494,60 @@ def transform_with_copies(
     )
 
 
-def apply_event(scene: Scene, event: Event) -> Scene:
-    """Update the scene by the event; fails if the event law rules it out."""
-    update = transform_with_copies(scene.structure, event.transformer)
+def apply_event(
+    scene: Scene, event: Event, keep: Iterable[VarId] | None = None
+) -> Scene:
+    """Update the scene by the event; fails if the event law rules it out.
+
+    With keep, the new scene is shrunk to keep those variables: the
+    result is `shrink_scene(apply_event(scene, event), keep)`, but the
+    update makes no snapshot of a modified variable whose old value the
+    law fixes (`transform_with_copies`), so only the other fixed
+    variables are left for `shrink_scene` to drop.
+    """
+    if keep is not None:
+        keep = frozenset(keep)
+    update = transform_with_copies(scene.structure, event.transformer, keep)
     state_new = update.post_state(scene.state, event.actual)
     if not update.structure.law.holds(state_new):
         actual = ",".join(sorted(v.name for v in event.actual))
         raise NotExecutable(
             f"event {{{actual}}} is not executable at the actual state"
         )
-    return Scene(update.structure, state_new)
+    after = Scene(update.structure, state_new)
+    return after if keep is None else shrink_scene(after, keep)
+
+
+def _literals(
+    split: list[BoolFn], variables: Iterable[VarId]
+) -> dict[VarId, BoolFn]:
+    """Those of the variables whose literal is a factor in a law's split,
+    each with that literal: unless the law is false, the ones it fixes,
+    and their values.  A factor is v's literal when v is its top
+    variable and its whole support."""
+    top = {g.node.var: g for g in split}
+    fixed = {}
+    for v in variables:
+        g = top.get(v)
+        if g is not None and len(g.support()) == 1:
+            fixed[v] = g
+    return fixed
+
+
+def _fix(
+    engine: Engine, observations: Mapping[str, BoolFn], literals: dict[VarId, BoolFn]
+) -> dict[str, BoolFn]:
+    """Each observation function with the variables of literals fixed to
+    the literals' values, on both the plain and the primed side: one
+    relational product per function against the cube of the literals
+    and its primed copy."""
+    cube = engine.conj(literals.values())
+    cube &= engine.prime(cube)
+    both = [*literals, *map(engine.primed, literals)]
+    return {
+        agent: engine.and_exists(obs, cube, both)
+        for agent, obs in observations.items()
+    }
 
 
 def shrink(structure: BeliefStructure, keep: Iterable[VarId] = ()) -> BeliefStructure:
@@ -481,33 +557,27 @@ def shrink(structure: BeliefStructure, keep: Iterable[VarId] = ()) -> BeliefStru
     negation, is one of the law's factors (`Engine.factors`): a factor
     whose support is that one variable.  A false law fixes every
     variable.  The new law conjoins the other factors, which are its
-    split (`Engine.conjoin_factors`); a law that drops nothing stays
-    as it is.  The dropped variables' literals conjoin to a cube, and
-    each observation function is restricted to it and its primed copy,
-    with one relational product per function.
+    split (`Engine.conjoin_factors`), and each observation function is
+    restricted to the dropped variables' values (`_fix`).  A structure
+    that drops nothing comes back as it is.
     """
     engine = structure.engine
     law = structure.law
     split = engine.factors(law)
+    keep = set(keep)
+    outside = [v for v in structure.vocabulary if v not in keep]
     if law.is_false:
         # false entails both literals of every variable; take true
-        fixed = {v: engine.atom(v) for v in structure.vocabulary}
+        dropped = {v: engine.atom(v) for v in outside}
     else:
-        fixed = {v: g for g in split if len(g.support()) == 1 for v in g.support()}
-    keep = set(keep)
-    dropped = [v for v in structure.vocabulary if v in fixed and v not in keep]
-    if dropped:
-        # false stays false: its one factor is no literal
-        gone = {fixed[v] for v in dropped}
-        law = engine.conjoin_factors([g for g in split if g not in gone])
-    cube = engine.conj(fixed[v] for v in dropped)
-    both = dropped + [engine.primed(v) for v in dropped]
-    cube &= engine.prime(cube)
-    observations = {
-        agent: engine.and_exists(obs, cube, both)
-        for agent, obs in structure.observations.items()
-    }
-    vocab = tuple(v for v in structure.vocabulary if v not in fixed or v in keep)
+        dropped = _literals(split, outside)
+    if not dropped:
+        return structure
+    # false stays false: its one factor is no literal
+    gone = set(dropped.values())
+    law = engine.conjoin_factors([g for g in split if g not in gone])
+    vocab = tuple(v for v in structure.vocabulary if v not in dropped)
+    observations = _fix(engine, structure.observations, dropped)
     return BeliefStructure(engine, vocab, law, observations)
 
 
@@ -530,5 +600,9 @@ def minimize(
 
 
 def shrink_scene(scene: Scene, keep: Iterable[VarId] = ()) -> Scene:
+    """The scene with its structure shrunk (`shrink`), or the scene
+    itself when that drops nothing."""
     reduced = shrink(scene.structure, keep)
+    if reduced is scene.structure:
+        return scene
     return Scene(reduced, scene.state & frozenset(reduced.vocabulary))

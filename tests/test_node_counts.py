@@ -14,7 +14,7 @@ import pytest
 from symdel.boolfun import Engine
 from symdel.language import format_formula, parse, recover_formula
 from symdel.scenario import build_scene, parse_scenario, run_events
-from symdel.symbolic import scene_eval
+from symdel.symbolic import scene_eval, shrink, shrink_scene
 
 
 def coin_flips(flips: int) -> str:
@@ -99,6 +99,21 @@ def test_minimized_chain_builds_few_nodes():
     assert built <= 40_000
     assert scene_eval(scene, parse("[a] ([b] p | [b] ~p)"))
     assert len(engine._unique) - built <= 5_000
+
+
+def test_minimized_sally_anne_makes_no_snapshot_it_drops():
+    # Every Sally-Anne event changes a variable whose old value the law
+    # fixes.  Snapshotting it and shrinking the snapshot away leaves
+    # 28,166 nodes in the unique table after 40 minimized rounds; making
+    # no such snapshot leaves 10,749.
+    scene = final_scene(sally_anne(40), minimize=True)
+    structure = scene.structure
+    assert len(structure.engine._unique) <= 12_000
+    # each update already dropped what shrinking drops, so shrinking
+    # again builds nothing and returns its input
+    plain = [v for v in structure.vocabulary if not v.copy]
+    assert shrink(structure, plain) is structure
+    assert shrink_scene(scene, plain) is scene
 
 
 def test_sally_anne_chained_law_stays_small():

@@ -23,8 +23,9 @@ from conftest import (
     scene_eval_enum,
 )
 from test_node_counts import coin_flips, sally_anne
-from symdel.boolfun import Engine
-from symdel.bridge import formula_family, generate_scene, generate_scene_event
+from symdel.boolfun import Engine, VarId
+from symdel.bridge import Bounds, formula_family, generate_scene, generate_scene_event
+from symdel.cli import format_scene
 from symdel.errors import (
     CompileError,
     EvalError,
@@ -582,7 +583,146 @@ def test_shrink_that_drops_nothing_keeps_the_law(monkeypatch):
     monkeypatch.setattr(engine, "conjoin_factors", None)
     for structure in (after.structure, loose):
         assert shrink(structure, structure.vocabulary).law is structure.law
+        assert shrink(structure, structure.vocabulary) is structure
     assert shrink(loose).law is loose.law
+    assert shrink_scene(after, after.structure.vocabulary) is after
+
+
+# -- the minimized update against update-then-shrink ----------------------------
+
+def plain_keep(scene, event):
+    """What `run_events` keeps: the plain variables, old and new."""
+    plain = [v for v in scene.structure.vocabulary if not v.copy]
+    return plain + list(event.transformer.add_vocab)
+
+
+def minimized_step(scene, event, keep, fused):
+    """The scene after the event, shrunk to keep, printed: by one
+    minimized update, or by a full update and then `shrink_scene`."""
+    if fused:
+        after = apply_event(scene, event, keep)
+    else:
+        after = shrink_scene(apply_event(scene, event), keep)
+    return after, format_scene(after, "after")
+
+
+def both_minimized(make, keep_of):
+    """One minimized step, each way in its own fresh engine from make(),
+    printed, or the message of the NotExecutable that each raised."""
+    printed = []
+    for fused in (True, False):
+        scene, event = make()
+        try:
+            printed.append(minimized_step(scene, event, keep_of(scene, event), fused)[1])
+        except NotExecutable as error:
+            printed.append(f"NotExecutable: {error}")
+    return printed
+
+
+def fixes_a_modified_variable(scene, event):
+    engine = scene.structure.engine
+    literals = set(engine.factors(scene.structure.law))
+    return any(
+        {engine.atom(v), ~engine.atom(v)} & literals
+        for v in event.transformer.modified
+    )
+
+
+@pytest.mark.parametrize("bounds", [Bounds(), Bounds(max_vocab=6, max_agents=3)], ids=str)
+def test_minimized_update_matches_update_then_shrink(bounds):
+    fixed = 0
+    for seed in range(300):
+        def make():
+            return generate_scene_event(seed, bounds)
+
+        fixed += fixes_a_modified_variable(*make())
+        for keep_of in (plain_keep, lambda scene, event: ()):
+            fused, shrunk = both_minimized(make, keep_of)
+            assert fused == shrunk, seed
+    assert fixed >= 50
+
+
+OLD_SNAPSHOT_FIXED = """\
+AGENTS a
+VARS p
+OBS a: p <-> p'
+STATE p
+EVENT
+  CHANGE p := ~p
+EVENT
+  PRE p@o
+  CHANGE p := Top
+"""
+
+
+def minimized_chain(text, fused):
+    """Each scene of a minimized run of the scenario, printed, with the
+    last scene; one minimized update per event, or a full update and
+    then `shrink_scene`."""
+    scenario = parse_scenario(text)
+    engine = Engine()
+    scene = build_scene(scenario, engine)
+    printed = []
+    for spec in scenario.events:
+        event = build_event(spec, scene.structure, engine)
+        scene, text = minimized_step(scene, event, plain_keep(scene, event), fused)
+        printed.append(text)
+    return printed, scene
+
+
+@pytest.mark.parametrize(
+    "text",
+    [coin_flips(8), sally_anne(3), OLD_SNAPSHOT_FIXED],
+    ids=["coin_flips", "sally_anne", "old_snapshot_fixed"],
+)
+def test_minimized_chain_matches_update_then_shrink(text):
+    fused, _ = minimized_chain(text, True)
+    assert fused == minimized_chain(text, False)[0]
+
+
+def test_minimized_update_restricts_an_observation_on_both_sides():
+    # the first coin flip changes p, which the law fixes and a's
+    # observation p <-> p' mentions on both sides
+    _, scene = minimized_chain(coin_flips(1), True)
+    engine = scene.structure.engine
+    p, q = engine.variable("p"), engine.variable("q1")
+    assert scene.structure.vocabulary == (p, q)
+    assert scene.structure.law == engine.atom(p).iff(engine.atom(q))
+    assert scene.structure.observations["a"].is_true
+    assert scene.state == {p, q}
+
+
+def test_minimized_update_leaves_a_snapshot_fixed_by_pre_to_shrink(monkeypatch):
+    # the second event's PRE fixes the older snapshot p°, and with it
+    # the new snapshot p°2 of p, which the old law does not fix: both go
+    # after the update, in the shrink that apply_event ends with
+    dropped = []
+    shrink_once = symbolic.shrink
+
+    def recording(structure, keep=()):
+        reduced = shrink_once(structure, keep)
+        dropped.append([v.name for v in structure.vocabulary if v not in reduced.vocabulary])
+        return reduced
+
+    monkeypatch.setattr(symbolic, "shrink", recording)
+    _, scene = minimized_chain(OLD_SNAPSHOT_FIXED, True)
+    assert dropped == [[], ["p°", "p°2"]]
+    assert [v.name for v in scene.structure.vocabulary] == ["p"]
+
+
+def test_minimized_update_snapshots_a_fixed_variable_that_keep_names():
+    # keep may name the snapshot the update is about to make
+    def keep_snapshot(scene, event):
+        p = scene.structure.vocabulary[0]
+        return plain_keep(scene, event) + [VarId(p.stem, 1)]
+
+    def make():
+        engine = Engine()
+        return coin_start(engine), coin_flip(engine)
+
+    fused, shrunk = both_minimized(make, keep_snapshot)
+    assert fused == shrunk
+    assert "vars: p q p°" in fused
 
 
 # -- the law's factor split, carried through each update ------------------------
@@ -648,8 +788,8 @@ def updates_along(text, minimize, monkeypatch, record=True):
     made = []
     transform = symbolic.transform_with_copies
 
-    def recording(structure, transformer):
-        update = transform(structure, transformer)
+    def recording(structure, transformer, keep=None):
+        update = transform(structure, transformer, keep)
         made.append((structure, transformer, update))
         return update
 
@@ -666,17 +806,30 @@ def updates_along(text, minimize, monkeypatch, record=True):
 @pytest.mark.parametrize("text", list(SPLIT_CHAINS.values()), ids=list(SPLIT_CHAINS))
 def test_updates_carry_the_law_split(text, minimize, monkeypatch):
     """Every law the update builds is rename(law & event law) & the
-    change equivalences, and the split it records, with the support read
+    change equivalences, with each modified variable that the update
+    gives no snapshot, which only a minimized run does, set to the value
+    the old law fixes; and the split it records, with the support read
     from it, is what an engine that derives both by walking the law finds."""
     carried = updates_along(text, minimize, monkeypatch)
     derived = updates_along(text, minimize, monkeypatch, record=False)
-    kept = 0
+    kept = fixed = 0
     for (old, transformer, update), (_, _, plain) in zip(carried, derived):
         engine = old.engine
         law = update.structure.law
-        want = engine.rename(old.law & compile_event_law(old, transformer), update.copies)
+        literals = set(engine.factors(old.law))
+        binding = {}
+        for v in update.change_fns:
+            atom = engine.atom(v)
+            if v in update.copies:
+                binding[v] = engine.atom(update.copies[v])
+                assert not minimize or not literals & {atom, ~atom}
+            else:
+                assert minimize and literals & {atom, ~atom}
+                binding[v] = engine.true if atom in literals else engine.false
+                fixed += 1
+        want = engine.compose_many(old.law & compile_event_law(old, transformer), binding)
         for v, fn in update.change_fns.items():
-            want &= engine.atom(v).iff(engine.rename(fn, update.copies))
+            want &= engine.atom(v).iff(engine.compose_many(fn, binding))
         assert law == want
         kept += bool(set(engine.factors(law)) & set(engine.factors(old.law)))
         assert diagram_facts(engine, law) == diagram_facts(
@@ -684,6 +837,8 @@ def test_updates_carry_the_law_split(text, minimize, monkeypatch):
         )
     # some factor of an old law carried over untouched
     assert kept
+    # a minimized run makes no snapshot of a variable its law fixes
+    assert bool(fixed) == minimize
 
 
 # -- the belief operator against its first definition --------------------------
