@@ -442,7 +442,7 @@ def check_part_i(scene: Scene, event: Event, depth: int = 2) -> str | None:
     model = model_of_structure(structure)
     action, designated = act(event)
     update = transform_with_copies(structure, event.transformer)
-    var_of = structure.env()
+    var_of = structure.env
     xvar_of = {v.name: v for v in event.transformer.add_vocab}
 
     def g(w, a):

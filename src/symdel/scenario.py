@@ -58,7 +58,6 @@ from .explicit import ActionModel, format_point
 from .language import (
     IDENT,
     TOP,
-    Box,
     Formula,
     agents_of,
     atoms_of,
@@ -68,7 +67,6 @@ from .language import (
     parse,
     read_ident,
     recover_formula,
-    subformulas,
 )
 from .symbolic import (
     BeliefStructure,
@@ -76,7 +74,6 @@ from .symbolic import (
     Scene,
     Transformer,
     apply_event,
-    reject_event_variables_under,
 )
 
 # the names VARS, STATE, ADDVARS and ASSIGN declare: no decorations
@@ -450,10 +447,10 @@ def build_event(
     An atom or agent that the structure and the event variables do not
     declare is a ParseError at its line, as are an event variable the
     structure already has, a CHANGE of a snapshot or one that is not
-    belief-free, and an event variable under a belief operator in PRE:
-    PRE's beliefs are about the structure before the event.
+    belief-free, and an event variable under a belief operator in PRE,
+    which `Transformer` rejects.
     """
-    env = structure.env()
+    env = structure.env
     added = set(spec.add)
     reused = sorted(added.intersection(env))
     if reused:
@@ -484,13 +481,8 @@ def build_event(
     formulas = [(("PRE",), spec.pre)]
     formulas += [(("CHANGE", name), phi) for name, phi in spec.changes]
     _check_names(formulas, spec.lines, spec.line, set(env) | added, set(structure.agents))
-    if added:
-        # preorder, so the first box found is the outermost at fault
-        with at_line(_line(spec.lines, spec.line, "PRE")):
-            for phi in subformulas(spec.pre):
-                if type(phi) is Box:
-                    reject_event_variables_under(phi, added)
-    transformer = Transformer(add, spec.pre, changes, event_obs)
+    with at_line(_line(spec.lines, spec.line, "PRE")):
+        transformer = Transformer(add, spec.pre, changes, event_obs)
     actual = frozenset(engine.variable(name) for name in spec.assign)
     return Event(transformer, actual)
 
@@ -501,21 +493,16 @@ def run_events(
     """Apply the scenario's events to `scene` in order, yielding each
     event with the scene after it.
 
-    With `minimize`, every scene is shrunk, keeping every plain
-    variable (the starting vocabulary and the event variables issued so
-    far), so only snapshots go.  Each event is one `apply_event` with
-    that keep set, which makes no snapshot whose value the law fixes
-    before the event.  An event that fails raises when its step is
-    reached.
+    With `minimize`, each event is one minimized `apply_event`: every
+    scene keeps its plain variables (the starting vocabulary and the
+    event variables issued so far), so only snapshots go, and the update
+    makes no snapshot whose value the law fixes before the event.  An
+    event that fails raises when its step is reached.
     """
     engine = scene.structure.engine
-    keep = None
     for spec in scenario.events:
         event = build_event(spec, scene.structure, engine)
-        if minimize:
-            keep = [v for v in scene.structure.vocabulary if not v.copy]
-            keep += event.transformer.add_vocab
-        scene = apply_event(scene, event, keep)
+        scene = apply_event(scene, event, minimize)
         yield event, scene
 
 

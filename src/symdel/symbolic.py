@@ -35,6 +35,7 @@ from .language import (
     compile_formula,
     compile_with,
     is_boolean,
+    subformulas,
 )
 
 State = frozenset[VarId]
@@ -98,15 +99,12 @@ class BeliefStructure:
     def agents(self) -> tuple[str, ...]:
         return tuple(self.observations)
 
+    @cached_property
     def env(self) -> dict[str, VarId]:
         """Atom-name binding for compiling formulas over the vocabulary.
 
         Built once per structure and shared by every caller, so it must
         not be changed."""
-        return self._env
-
-    @cached_property
-    def _env(self) -> dict[str, VarId]:
         return {v.name: v for v in self.vocabulary}
 
     def states(self) -> list[State]:
@@ -143,11 +141,13 @@ class Transformer:
     """Event description: fresh event variables, an event law, and change laws.
 
     event_law may use belief operators, but only over the original
-    vocabulary; event variables must stay outside their scope.  Change
-    laws and event observations are belief-free; event observations may
-    mention only event variables and their primes.  The modified
-    variables are the keys of `change_laws`, in its order; they are live
-    ones, not snapshots, which keep old values.
+    vocabulary: its beliefs are about the structure before the event,
+    which has no event variables, so an event variable under a belief
+    operator is a CompileError naming the outermost operator at fault.
+    Change laws and event observations are belief-free; event
+    observations may mention only event variables and their primes.  The
+    modified variables are the keys of `change_laws`, in its order; they
+    are live ones, not snapshots, which keep old values.
     """
 
     add_vocab: tuple[VarId, ...]
@@ -179,11 +179,17 @@ class Transformer:
                     f"event observation of {agent} mentions variables "
                     f"other than the event variables: {_name_list(stray)}"
                 )
-
-    @property
-    def modified(self) -> tuple[VarId, ...]:
-        """The modified variables: the keys of `change_laws`, in its order."""
-        return tuple(self.change_laws)
+        added = {v.name for v in self.add_vocab}
+        if added:
+            # preorder, so the first box found is the outermost at fault
+            for phi in subformulas(self.event_law):
+                if type(phi) is Box:
+                    believed = atoms_of(phi.body) & added
+                    if believed:
+                        raise CompileError(
+                            f"event variable under belief operator [{phi.agent}]: "
+                            f"{', '.join(sorted(believed))}"
+                        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +256,7 @@ class Translator:
         # Not the structure itself, which caches its translator.
         self.observations = structure.observations
         self.engine = structure.engine
-        self.env = structure.env()
+        self.env = structure.env
         self.vocabulary = structure.vocabulary
         self._law = structure.law.node
         self._general = None  # law' and V', shared by the general views
@@ -335,54 +341,31 @@ class Update(NamedTuple):
 
 def _event_env(structure: BeliefStructure, transformer: Transformer) -> dict:
     """Atom-name binding for the structure's vocabulary and the event variables."""
-    env = dict(structure.env())
+    env = dict(structure.env)
     env.update({v.name: v for v in transformer.add_vocab})
     return env
 
 
-def compile_event_law(
-    structure: BeliefStructure, transformer: Transformer, env: dict | None = None
-) -> BoolFn:
+def compile_event_law(structure: BeliefStructure, transformer: Transformer) -> BoolFn:
     """The transformer's event law as a function over the structure's
     vocabulary and the event variables.
 
     Where the structure's law holds at a state, the event with actual
     event variables x is executable exactly when this function holds at
-    the state together with x.  env is the binding `_event_env` builds,
-    for a caller that holds it already.
+    the state together with x.  Belief operators go to the structure's
+    translator, built only when one occurs; `Transformer` has kept the
+    event variables out of their scope.
     """
-    if env is None:
-        env = _event_env(structure, transformer)
-    added = {v.name for v in transformer.add_vocab}
-
-    # Belief operators go to the structure's translator, built only when
-    # one occurs.
-    def box(formula: Box) -> BoolFn:
-        reject_event_variables_under(formula, added)
-        return structure.translator.fn(formula)
-
-    return compile_with(transformer.event_law, env, structure.engine, box)
-
-
-def reject_event_variables_under(box: Box, added: set[str]) -> None:
-    """Raise a CompileError naming the belief operator and the event
-    variables among `added` that its body names.
-
-    An event law's beliefs are about the structure before the event,
-    which has no event variables.
-    """
-    believed = atoms_of(box.body) & added
-    if believed:
-        raise CompileError(
-            f"event variable under belief operator [{box.agent}]: "
-            f"{', '.join(sorted(believed))}"
-        )
+    return compile_with(
+        transformer.event_law,
+        _event_env(structure, transformer),
+        structure.engine,
+        lambda box: structure.translator.fn(box),
+    )
 
 
 def transform_with_copies(
-    structure: BeliefStructure,
-    transformer: Transformer,
-    keep: Iterable[VarId] | None = None,
+    structure: BeliefStructure, transformer: Transformer, minimize: bool = False
 ) -> Update:
     """Update the structure, returning it with its snapshot map and
     compiled change laws.
@@ -403,15 +386,16 @@ def transform_with_copies(
     over, the split is recorded with the law (`Engine.conjoin_factors`),
     so the next update reads it rather than walking the law.
 
-    With keep, the update makes no snapshot that `shrink` with keep
-    would drop at once: a modified variable whose old value the law
-    fixes (its literal is one of the law's factors, and the only one
-    that mentions it) has its literal left out of the split, that value
-    put in for it in the event law, the change laws and, on both sides,
-    the observations, and no snapshot in the new vocabulary or in
-    copies.  Its snapshot generation is still allocated, so later names
-    and levels are as without keep.  The result is what `shrink` with
-    keep leaves of those snapshots; other fixed variables stay.
+    With minimize, the update makes no snapshot that `shrink` to the
+    plain variables would drop at once: a modified variable whose old
+    value the law fixes (its literal is one of the law's factors, and
+    the only one that mentions it) has its literal left out of the
+    split, that value put in for it in the event law, the change laws
+    and, on both sides, the observations, and no snapshot in the new
+    vocabulary or in copies.  Its snapshot generation is still
+    allocated, so later names and levels are as without minimize.  The
+    result is what that shrink leaves of those snapshots; other fixed
+    variables stay.
     """
     engine = structure.engine
     vocab = set(structure.vocabulary)
@@ -436,7 +420,7 @@ def transform_with_copies(
             )
 
     env = _event_env(structure, transformer)
-    law_event = compile_event_law(structure, transformer, env)
+    law_event = compile_event_law(structure, transformer)
     change_fns = {
         v: compile_formula(phi, env, engine)
         for v, phi in transformer.change_laws.items()
@@ -445,9 +429,8 @@ def transform_with_copies(
     copies = {v: engine.fresh_copy(v) for v in change_fns}
     split = engine.factors(structure.law)
     changes, observations = change_fns, structure.observations
-    if keep is not None:
-        keep = set(keep)
-        fixed = _literals(split, [v for v in change_fns if copies[v] not in keep])
+    if minimize:
+        fixed = _literals(split, change_fns)
         if fixed:
             cube = engine.conj(fixed.values())
             law_event = engine.and_exists(law_event, cube, fixed)
@@ -494,20 +477,17 @@ def transform_with_copies(
     )
 
 
-def apply_event(
-    scene: Scene, event: Event, keep: Iterable[VarId] | None = None
-) -> Scene:
+def apply_event(scene: Scene, event: Event, minimize: bool = False) -> Scene:
     """Update the scene by the event; fails if the event law rules it out.
 
-    With keep, the new scene is shrunk to keep those variables: the
-    result is `shrink_scene(apply_event(scene, event), keep)`, but the
-    update makes no snapshot of a modified variable whose old value the
-    law fixes (`transform_with_copies`), so only the other fixed
-    variables are left for `shrink_scene` to drop.
+    With minimize, the new scene keeps only the plain variables of its
+    vocabulary, those that are not snapshots: the result is what
+    `shrink_scene` to them makes of `apply_event(scene, event)`, but
+    the update makes no snapshot of a modified variable whose old value
+    the law fixes (`transform_with_copies`), so only the other fixed
+    snapshots are left for `shrink_scene` to drop.
     """
-    if keep is not None:
-        keep = frozenset(keep)
-    update = transform_with_copies(scene.structure, event.transformer, keep)
+    update = transform_with_copies(scene.structure, event.transformer, minimize)
     state_new = update.post_state(scene.state, event.actual)
     if not update.structure.law.holds(state_new):
         actual = ",".join(sorted(v.name for v in event.actual))
@@ -515,7 +495,9 @@ def apply_event(
             f"event {{{actual}}} is not executable at the actual state"
         )
     after = Scene(update.structure, state_new)
-    return after if keep is None else shrink_scene(after, keep)
+    if not minimize:
+        return after
+    return shrink_scene(after, [v for v in update.structure.vocabulary if not v.copy])
 
 
 def _literals(

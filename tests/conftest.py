@@ -68,7 +68,7 @@ def scene_eval_enum(scene, formula):
     """
     structure, state = scene.structure, scene.state
     engine = structure.engine
-    env = structure.env()
+    env = structure.env
     match formula:
         case Top():
             return True

@@ -186,7 +186,7 @@ def test_criterion_7_updated_state_map_is_a_morphism():
         action, _ = act(event)
         update = transform_with_copies(structure, transformer)
         product = product_update(model, action)
-        var_of = structure.env()
+        var_of = structure.env
         xvar_of = {v.name: v for v in transformer.add_vocab}
         g = {
             (w, a): update.post_state(

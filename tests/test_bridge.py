@@ -196,7 +196,7 @@ def test_trf_flip_action_matches_the_coin_transformer():
     assert actual == frozenset({q1})
 
     p = engine.variable("p")
-    assert transformer.modified == (p,)
+    assert tuple(transformer.change_laws) == (p,)
     env = {"p": p, "q1": q1}
     law_fn = compile_formula(transformer.event_law, env, engine)
     assert law_fn.is_true
@@ -217,7 +217,7 @@ def test_trf_single_event_action_needs_no_labels():
     transformer, actual, _ = trf_with_labels(engine, announce, "e")
     assert transformer.add_vocab == ()
     assert actual == frozenset()
-    assert transformer.modified == ()
+    assert tuple(transformer.change_laws) == ()
     assert transformer.event_law == parse("[a] p")
     assert transformer.event_obs["a"].is_true
 
@@ -239,7 +239,7 @@ def test_changed_props_is_syntactic():
     engine = Engine()
     p = engine.variable("p")
     transformer, _, _ = trf_with_labels(engine, spelled, "e")
-    assert transformer.modified == (p,)
+    assert tuple(transformer.change_laws) == (p,)
     change_fn = compile_formula(transformer.change_laws[p], {"p": p}, engine)
     assert change_fn == engine.atom(p)
 
@@ -247,7 +247,7 @@ def test_changed_props_is_syntactic():
 # -- morphism ------------------------------------------------------------------
 
 def _identity_g(structure):
-    var_of = structure.env()
+    var_of = structure.env
     return {
         frozenset(v.name for v in s): s for s in structure.states()
     }, var_of
@@ -257,7 +257,7 @@ def test_check_morphism_accepts_the_state_model():
     engine = Engine()
     structure = coin_scene(engine).structure
     model = model_of_structure(structure)
-    g = {w: frozenset(structure.env()[p] for p in w) for w in model.worlds}
+    g = {w: frozenset(structure.env[p] for p in w) for w in model.worlds}
     assert check_morphism(structure, model, ("p",), g) is None
 
 
@@ -333,7 +333,7 @@ def _broken_part_i(scene, event) -> str | None:
         },
     )
     product = product_update(model, action)
-    var_of = structure.env()
+    var_of = structure.env
     xvar_of = {v.name: v for v in transformer.add_vocab}
     g = {
         (w, a): update.post_state(
@@ -410,7 +410,7 @@ def test_generate_scene_is_deterministic_and_bounded():
             model_of_structure(again.structure)
         )
         assert scene.state == {
-            scene.structure.env()[v.name] for v in again.state
+            scene.structure.env[v.name] for v in again.state
         }
         assert 1 <= len(scene.structure.vocabulary) <= 4
         assert 1 <= len(scene.structure.agents) <= 2

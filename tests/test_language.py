@@ -449,7 +449,7 @@ class RefTranslator:
 
     def fn(self, formula):
         s = self.structure
-        return ref_compile_with(formula, s.env(), s.engine, self.box)
+        return ref_compile_with(formula, s.env, s.engine, self.box)
 
     def box(self, formula):
         engine = self.structure.engine

@@ -23,7 +23,7 @@ from conftest import (
     scene_eval_enum,
 )
 from test_node_counts import coin_flips, sally_anne
-from symdel.boolfun import Engine, VarId
+from symdel.boolfun import Engine
 from symdel.bridge import Bounds, formula_family, generate_scene, generate_scene_event
 from symdel.cli import format_scene
 from symdel.errors import (
@@ -591,29 +591,29 @@ def test_shrink_that_drops_nothing_keeps_the_law(monkeypatch):
 # -- the minimized update against update-then-shrink ----------------------------
 
 def plain_keep(scene, event):
-    """What `run_events` keeps: the plain variables, old and new."""
+    """What a minimized update keeps: the plain variables, old and new."""
     plain = [v for v in scene.structure.vocabulary if not v.copy]
     return plain + list(event.transformer.add_vocab)
 
 
-def minimized_step(scene, event, keep, fused):
-    """The scene after the event, shrunk to keep, printed: by one
-    minimized update, or by a full update and then `shrink_scene`."""
+def minimized_step(scene, event, fused):
+    """The scene after the event, shrunk to its plain variables, printed:
+    by one minimized update, or by a full update and then `shrink_scene`."""
     if fused:
-        after = apply_event(scene, event, keep)
+        after = apply_event(scene, event, minimize=True)
     else:
-        after = shrink_scene(apply_event(scene, event), keep)
+        after = shrink_scene(apply_event(scene, event), plain_keep(scene, event))
     return after, format_scene(after, "after")
 
 
-def both_minimized(make, keep_of):
+def both_minimized(make):
     """One minimized step, each way in its own fresh engine from make(),
     printed, or the message of the NotExecutable that each raised."""
     printed = []
     for fused in (True, False):
         scene, event = make()
         try:
-            printed.append(minimized_step(scene, event, keep_of(scene, event), fused)[1])
+            printed.append(minimized_step(scene, event, fused)[1])
         except NotExecutable as error:
             printed.append(f"NotExecutable: {error}")
     return printed
@@ -624,7 +624,7 @@ def fixes_a_modified_variable(scene, event):
     literals = set(engine.factors(scene.structure.law))
     return any(
         {engine.atom(v), ~engine.atom(v)} & literals
-        for v in event.transformer.modified
+        for v in event.transformer.change_laws
     )
 
 
@@ -636,9 +636,8 @@ def test_minimized_update_matches_update_then_shrink(bounds):
             return generate_scene_event(seed, bounds)
 
         fixed += fixes_a_modified_variable(*make())
-        for keep_of in (plain_keep, lambda scene, event: ()):
-            fused, shrunk = both_minimized(make, keep_of)
-            assert fused == shrunk, seed
+        fused, shrunk = both_minimized(make)
+        assert fused == shrunk, seed
     assert fixed >= 50
 
 
@@ -665,7 +664,7 @@ def minimized_chain(text, fused):
     printed = []
     for spec in scenario.events:
         event = build_event(spec, scene.structure, engine)
-        scene, text = minimized_step(scene, event, plain_keep(scene, event), fused)
+        scene, text = minimized_step(scene, event, fused)
         printed.append(text)
     return printed, scene
 
@@ -708,21 +707,6 @@ def test_minimized_update_leaves_a_snapshot_fixed_by_pre_to_shrink(monkeypatch):
     _, scene = minimized_chain(OLD_SNAPSHOT_FIXED, True)
     assert dropped == [[], ["p°", "p°2"]]
     assert [v.name for v in scene.structure.vocabulary] == ["p"]
-
-
-def test_minimized_update_snapshots_a_fixed_variable_that_keep_names():
-    # keep may name the snapshot the update is about to make
-    def keep_snapshot(scene, event):
-        p = scene.structure.vocabulary[0]
-        return plain_keep(scene, event) + [VarId(p.stem, 1)]
-
-    def make():
-        engine = Engine()
-        return coin_start(engine), coin_flip(engine)
-
-    fused, shrunk = both_minimized(make, keep_snapshot)
-    assert fused == shrunk
-    assert "vars: p q p°" in fused
 
 
 # -- the law's factor split, carried through each update ------------------------
@@ -788,8 +772,8 @@ def updates_along(text, minimize, monkeypatch, record=True):
     made = []
     transform = symbolic.transform_with_copies
 
-    def recording(structure, transformer, keep=None):
-        update = transform(structure, transformer, keep)
+    def recording(structure, transformer, minimize=False):
+        update = transform(structure, transformer, minimize)
         made.append((structure, transformer, update))
         return update
 
@@ -855,7 +839,7 @@ class QuantifiedImplication:
 
     def fn(self, formula):
         structure = self.structure
-        return compile_with(formula, structure.env(), structure.engine, self.box)
+        return compile_with(formula, structure.env, structure.engine, self.box)
 
     def box(self, formula):
         engine = self.structure.engine
@@ -1103,22 +1087,23 @@ def test_translator_rejects_event_variables_under_belief():
     structure = scene.structure
     x = engine.variable("x")
 
+    def transformer(text):
+        return Transformer((x,), parse(text), event_obs={"a": engine.true, "b": engine.true})
+
     def law_after(text):
-        transformer = Transformer(
-            (x,), parse(text), event_obs={"a": engine.true, "b": engine.true}
-        )
-        return transform_with_copies(structure, transformer).structure.law
+        return transform_with_copies(structure, transformer(text)).structure.law
 
     assert law_after("x") == structure.law & engine.atom(x)
     box = structure.translator.fn(parse("[a] p"))
     assert law_after("x & [a] p") == structure.law & engine.atom(x) & box
+    # the transformer itself is at fault, before any structure meets it
     with pytest.raises(CompileError, match=r"^event variable under belief operator \[a\]: x$"):
-        law_after("[a] x")
+        transformer("[a] x")
     with pytest.raises(CompileError, match=r"^event variable under belief operator \[b\]: x$"):
-        law_after("~[b] (p | x)")
-    # the outermost operator at fault is named, as build_event names it
+        transformer("~[b] (p | x)")
+    # the outermost operator at fault is named
     with pytest.raises(CompileError, match=r"\[a\]: x$"):
-        law_after("[a] [b] x")
+        transformer("[a] [b] x")
 
 
 def test_translator_error_cases():
@@ -1202,7 +1187,7 @@ def test_modified_variables_follow_the_change_laws_order():
     engine = Engine()
     p, q, r = (engine.variable(name) for name in "pqr")
     transformer = Transformer((), TOP, {r: TOP, p: parse("~q"), q: TOP})
-    assert transformer.modified == (r, p, q)
+    assert tuple(transformer.change_laws) == (r, p, q)
     structure = BeliefStructure(engine, (p, q, r), engine.true, {})
     update = transform_with_copies(structure, transformer)
     assert [v.name for v in update.structure.vocabulary] == ["p", "q", "r", "r°", "p°", "q°"]
@@ -1258,7 +1243,7 @@ def test_calls_leave_no_reference_cycles():
     watch = scene.structure.observations["a"]
     pair = (p, engine.primed(p))
     phi = parse("[a] p | ~p")
-    env = scene.structure.env()
+    env = scene.structure.env
     calls = {
         "scene_eval": lambda: scene_eval(scene, phi),
         "scene_eval in a fresh engine": lambda: scene_eval(coin_start(Engine()), phi),
