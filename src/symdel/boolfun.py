@@ -27,16 +27,19 @@ factual changes linear in the number of events.
 
 The unique table and the operation caches are keyed on the nodes
 themselves, never on their addresses, so an entry cannot be mistaken
-for a later node at a reused address.  Besides the recursions' entries,
-the operation cache holds two facts per root node that a caller asked
-for: its support (key "support") and its factor split (key "factors").
-Only roots are cached, not the nodes below them, so each costs at most
-one walk of the diagram per root and one entry.  A split is also
-recorded, with no walk, for a function built by conjoining a known
-split (`conjoin_factors`, which the state update and `shrink` use);
-the support of such a function is the union of its factors' supports.
-Nothing frees nodes yet: both tables, and so these entries, grow for
-the life of the engine.
+for a later node at a reused address.  No operation orders its
+arguments by address either, so the work an input costs does not
+depend on where the allocator put its nodes.  Besides the recursions'
+entries, the operation cache holds three facts per root node that a
+caller asked for: its support (key "support"), its factor split (key
+"factors") and the formula that prints it (key "formula", stored by
+`language.recover_formula`).  Only roots are cached, not the nodes
+below them, so each costs at most one walk of the diagram per root and
+one entry.  A split is also recorded, with no walk, for a function
+built by conjoining a known split (`conjoin_factors`, which the state
+update and `shrink` use); the support of such a function is the union
+of its factors' supports.  Nothing frees nodes yet: both tables, and
+so these entries, grow for the life of the engine.
 """
 
 from __future__ import annotations
@@ -214,13 +217,8 @@ class Engine:
             g = t
         elif f is h:
             h = e
-        if h is e:
-            if g is t:
-                return f
-            if id(f) > id(g):
-                f, g = g, f  # f and g commute
-        elif g is t and id(f) > id(h):
-            f, h = h, f  # f or h commutes
+        if h is e and g is t:
+            return f
         # three nodes: never equal to the other recursions' keys, which
         # start with a string
         key = (f, g, h)
@@ -247,8 +245,6 @@ class Engine:
             f, g = g, t  # one cache entry for f and f, true and f, f and true
         if f.level > last and g.level > last:
             return self._ite(f, g, e)
-        if id(f) > id(g):
-            f, g = g, f  # the conjunction commutes
         key = ("and_exists", f, g, levels)
         r = self._cache.get(key)
         if r is not None:

@@ -66,23 +66,23 @@ MAX_PROVE_AGENTS = 4
 MAX_PROVE_DEPTH = 4
 
 
-def format_scene(scene: Scene, heading: str, memo: dict | None = None) -> str:
-    data = _scene_json(scene, memo)
+def format_scene(scene: Scene, heading: str) -> str:
+    data = _scene_json(scene)
     lines = [heading, "  vars: " + " ".join(data["vars"]), "  law: " + data["law"]]
     lines.extend(f"  obs {agent}: {text}" for agent, text in data["obs"].items())
     lines.append("  state: {" + ",".join(data["state"]) + "}")
     return "\n".join(lines)
 
 
-def _scene_json(scene: Scene, memo: dict | None = None) -> dict:
-    """The scene's fields as printed; memo is `recover_formula`'s, shared
-    by every scene of a run, where most factors recur unchanged."""
+def _scene_json(scene: Scene) -> dict:
+    """The scene's fields as printed.  Most factors recur unchanged from
+    one scene to the next; the engine keeps each recovered formula."""
     structure = scene.structure
     return {
         "vars": [v.name for v in structure.vocabulary],
-        "law": format_formula(recover_formula(structure.law, memo)),
+        "law": format_formula(recover_formula(structure.law)),
         "obs": {
-            agent: format_formula(recover_formula(obs, memo))
+            agent: format_formula(recover_formula(obs))
             for agent, obs in structure.observations.items()
         },
         "state": [v.name for v in structure.vocabulary if v in scene.state],
@@ -102,7 +102,6 @@ def run_check(args) -> int:
 
     checks = []
     failed = False
-    memo = {}  # recovered formulas of the printed functions and their factors
     for spec in scenario.checks:
         index = spec.after if spec.after is not None else len(scenario.events)
         with at_line(spec.line):
@@ -114,7 +113,7 @@ def run_check(args) -> int:
 
     if args.json:
         payload = {
-            "trace": [_scene_json(s, memo) for s in scenes],
+            "trace": [_scene_json(s) for s in scenes],
             "checks": [
                 {
                     "formula": format_formula(spec.formula),
@@ -130,13 +129,13 @@ def run_check(args) -> int:
         print(json.dumps(payload, indent=2))
         return 1 if failed else 0
 
-    print(format_scene(scenes[0], "initial", memo))
+    print(format_scene(scenes[0], "initial"))
     for number, (event, after) in enumerate(zip(events, scenes[1:]), start=1):
         if args.trace:
             print()
             print(format_event_block(event.transformer, event.actual))
         print()
-        print(format_scene(after, f"after event {number}", memo))
+        print(format_scene(after, f"after event {number}"))
     if checks:
         print()
     for spec, index, value, ok in checks:

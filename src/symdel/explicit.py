@@ -320,14 +320,18 @@ def relation_of(obs: BoolFn, points: Mapping) -> frozenset:
 def observation_of(engine: Engine, relation, points: Mapping, universe) -> BoolFn:
     """The observation function of a relation over coded points: the
     disjunction, over its pairs (a, b), of the cube of points[a] over
-    the universe and of points[b] over the primed universe."""
+    the universe and of points[b] over the primed universe.  The pairs
+    are disjoined in the order of points, source first, so the work
+    done does not depend on the relation's hash order."""
     primed = [engine.primed(v) for v in universe]
     source = {a: _cube(engine, s, universe) for a, s in points.items()}
     target = {
         b: _cube(engine, {engine.primed(v) for v in t}, primed)
         for b, t in points.items()
     }
-    return engine.disj([source[a] & target[b] for a, b in relation])
+    return engine.disj(
+        [source[a] & target[b] for a in points for b in points if (a, b) in relation]
+    )
 
 
 def _cube(engine: Engine, state, universe) -> BoolFn:

@@ -497,7 +497,7 @@ def _compile(phi, env, engine, box, memo):
     return node
 
 
-def recover_formula(fn: BoolFn, memo: dict[BoolFn, Formula] | None = None) -> Formula:
+def recover_formula(fn: BoolFn) -> Formula:
     """A readable formula denoting fn, for display purposes.
 
     fn is printed as the conjunction of its factors (`Engine.factors`),
@@ -506,22 +506,21 @@ def recover_formula(fn: BoolFn, memo: dict[BoolFn, Formula] | None = None) -> Fo
     a literal, a two-variable equivalence prints as one, and any other
     factor as the disjunction of its diagram's paths to true.
 
-    With a memo, fn and each of its factors are looked up there first
-    and stored after, so a function or factor recovered before costs
-    one lookup.  A factor is its own only factor, so both kinds of
+    The formulas of fn and of each of its factors are kept in the
+    engine's per-root cache, so a function or factor recovered before
+    costs one lookup.  A factor is its own only factor, so both kinds of
     entry agree where they meet.
     """
-    if memo is None:
-        memo = {}
-    out = memo.get(fn)
+    cache = fn.engine._cache
+    out = cache.get(("formula", fn.node))
     if out is None:
         parts = []
         for g in fn.engine.factors(fn):
-            part = memo.get(g)
+            part = cache.get(("formula", g.node))
             if part is None:
-                part = memo[g] = _recover_factor(g)
+                part = cache[("formula", g.node)] = _recover_factor(g)
             parts.append(part)
-        out = memo[fn] = conj(parts)
+        out = cache[("formula", fn.node)] = conj(parts)
     return out
 
 

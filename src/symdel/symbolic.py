@@ -46,11 +46,14 @@ def _name_list(variables) -> str:
     return ", ".join(sorted(v.name for v in variables))
 
 
-def _check_plain_distinct(variables, what):
+def _check_plain_distinct(variables, what, live=False):
+    """Unprimed and distinct; live ones must not be snapshots either."""
     seen = set()
     for v in variables:
         if v.primed:
             raise VocabularyError(f"{what} must be unprimed: {v.name}")
+        if live and v.copy:
+            raise VocabularyError(f"{what} must not hold a snapshot: {v.name}")
         if v in seen:
             raise VocabularyError(f"repeated variable in {what}: {v.name}")
         seen.add(v)
@@ -146,8 +149,9 @@ class Transformer:
     operator is a CompileError naming the outermost operator at fault.
     Change laws and event observations are belief-free; event
     observations may mention only event variables and their primes.  The
-    modified variables are the keys of `change_laws`, in its order; they
-    are live ones, not snapshots, which keep old values.
+    modified variables are the keys of `change_laws`, in its order.  They
+    and the event variables are live ones, not snapshots, which keep old
+    values.
     """
 
     add_vocab: tuple[VarId, ...]
@@ -159,13 +163,9 @@ class Transformer:
         object.__setattr__(self, "add_vocab", tuple(self.add_vocab))
         object.__setattr__(self, "change_laws", dict(self.change_laws))
         object.__setattr__(self, "event_obs", dict(self.event_obs))
-        _check_plain_distinct(self.add_vocab, "the event vocabulary")
-        _check_plain_distinct(self.change_laws, "the modified set")
+        _check_plain_distinct(self.add_vocab, "the event vocabulary", live=True)
+        _check_plain_distinct(self.change_laws, "the modified set", live=True)
         for v, phi in self.change_laws.items():
-            if v.copy:
-                raise VocabularyError(
-                    f"the modified set must not hold a snapshot: {v.name}"
-                )
             if not is_boolean(phi):
                 raise VocabularyError(f"change law of {v.name} is not belief-free")
         engines = {obs.engine for obs in self.event_obs.values()}

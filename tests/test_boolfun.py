@@ -1,7 +1,12 @@
 """Engine tests: canonicity against truth tables, operation oracles."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +19,10 @@ from conftest import (
     random_boolean_formula,
     truth_table,
 )
+import symdel
 from symdel.boolfun import BoolFnError, Engine, VarId
 from symdel.language import And, Atom, Not, compile_formula, parse
+from test_node_counts import coin_flips
 
 
 def _env(engine, names):
@@ -715,3 +722,68 @@ def test_factors_and_conjoin_factors_match_truth_tables():
             want = {row: want[row - {v}] or want[row | {v}] for row in rows}
         assert table_of(dropped) == want
         assert engine.factors(dropped) == rest[::-1]
+
+
+# Counts the engine's two recursions over a fixed workload and prints
+# them as JSON.  argv: the number of objects to allocate first, then a
+# coin-flip chain file and a scenario file.
+WORK_COUNTER = """
+import contextlib, io, json, sys
+ballast = [[k] for k in range(int(sys.argv[1]))]
+from symdel import Engine, run_suite
+from symdel.cli import main
+
+calls = {"_ite": 0, "_and_exists": 0}
+
+def counted(name):
+    real = getattr(Engine, name)
+
+    def wrapper(self, *args):
+        calls[name] += 1
+        return real(self, *args)
+
+    setattr(Engine, name, wrapper)
+
+for name in calls:
+    counted(name)
+
+def measure(run):
+    before = dict(calls)
+    with contextlib.redirect_stdout(io.StringIO()):
+        run()
+    return {name: calls[name] - before[name] for name in calls}
+
+work = {
+    part: measure(lambda: run_suite(seed=0, count=30, parts=(part,)))
+    for part in ("action", "roundtrip")
+}
+work["check"] = measure(lambda: main(["check", sys.argv[2], "--minimize", "--json"]))
+work["translate"] = measure(lambda: main(["translate", sys.argv[3], "--to", "transformer"]))
+print(json.dumps(work))
+"""
+
+
+def test_engine_work_depends_on_neither_hash_seed_nor_heap(tmp_path):
+    """The same input makes the same recursive calls under any string
+    hash seed and wherever the allocator puts the nodes: no operation
+    orders its arguments by address, and no set's hash order reaches
+    the engine."""
+    chain = tmp_path / "coin_flips_8.scn"
+    chain.write_text(coin_flips(8), encoding="utf-8")
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "flip_action.scn"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(symdel.__file__).resolve().parent.parent)
+    runs = []
+    for hash_seed, ballast in (("0", 0), ("7", 0), ("0", 10_000)):
+        env["PYTHONHASHSEED"] = hash_seed
+        result = subprocess.run(
+            [sys.executable, "-c", WORK_COUNTER, str(ballast), str(chain), str(scenario)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        runs.append(json.loads(result.stdout))
+    assert all(work["_ite"] > 0 for work in runs[0].values())
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]

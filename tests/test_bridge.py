@@ -312,6 +312,10 @@ def test_check_morphism_rejects_each_condition():
         "g({}) leaves the vocabulary"
     )
 
+    # an agent the structure observes but the model has no relation for
+    other = KripkeModel(("p",), worlds, {"b": good_rel}, valuation)
+    assert check_morphism(structure, other, ("p",), states) == "model lacks agent a"
+
 
 def _broken_part_i(scene, event) -> str | None:
     """check_part_i with a sabotaged update: the observation functions are
@@ -370,6 +374,102 @@ def test_part_ii_and_roundtrip_on_the_flip_action():
     assert check_part_ii(pointed, flip_action(), "a2") is None
     assert check_part_ii(pointed, flip_action(), "a1") is None
     assert check_roundtrip(pointed, flip_action(), "a2") is None
+
+
+# -- the failure messages of the agreement checks ----------------------------------
+#
+# Each check below is handed one seeded fault, so that it reports the
+# detail `symdel prove` prints for a counterexample of its kind.
+
+def _negated_satisfies(monkeypatch):
+    """The explicit evaluator answers the opposite of the truth."""
+    real = GlobalEvaluator.satisfies
+    monkeypatch.setattr(
+        GlobalEvaluator, "satisfies", lambda self, w, phi: not real(self, w, phi)
+    )
+
+
+def _rewritten(action: ActionModel, pre=None, post=None) -> ActionModel:
+    """action with every event's precondition or postcondition replaced."""
+    return ActionModel(
+        action.events,
+        action.relations,
+        {a: pre for a in action.events} if pre is not None else action.pre,
+        {a: post for a in action.events} if post is not None else action.post,
+    )
+
+
+def _rewrite_act(monkeypatch, **rewrite):
+    """`act` returns its action rewritten, keeping the designated event."""
+    real = bridge.act
+
+    def rewritten_act(event):
+        action, designated = real(event)
+        return _rewritten(action, **rewrite), designated
+
+    monkeypatch.setattr(bridge, "act", rewritten_act)
+
+
+def test_update_check_reports_an_executability_disagreement(monkeypatch):
+    real = bridge.product_update
+
+    def no_event_executes(model, action):
+        return real(model, _rewritten(action, pre=BOT))
+
+    monkeypatch.setattr(bridge, "product_update", no_event_executes)
+    pointed = PointedModel(coin_kripke(), "w")
+    assert check_part_ii(pointed, flip_action(), "a2") == (
+        "executability disagrees: explicit precondition is False, "
+        "symbolic law check is True"
+    )
+
+
+def test_update_check_reports_a_formula_disagreement(monkeypatch):
+    _negated_satisfies(monkeypatch)
+    engine = Engine()
+    assert check_part_i(coin_scene(engine), coin_event(engine)) == (
+        "formula Top: symbolic True, explicit False"
+    )
+
+
+def test_roundtrip_check_reports_a_precondition_disagreement(monkeypatch):
+    _rewrite_act(monkeypatch, pre=BOT)
+    pointed = PointedModel(coin_kripke(), "w")
+    assert check_roundtrip(pointed, flip_action(), "a2") == (
+        "designated precondition disagrees after round trip: True vs False"
+    )
+
+
+def test_roundtrip_check_reports_a_formula_disagreement(monkeypatch):
+    _rewrite_act(monkeypatch, post={"p": BOT})
+    pointed = PointedModel(coin_kripke(), "w")
+    assert check_roundtrip(pointed, flip_action(), "a2") == (
+        "round trip differs on p: True vs False"
+    )
+
+
+def test_translation_check_reports_a_disagreement(monkeypatch):
+    _negated_satisfies(monkeypatch)
+    scene = coin_scene(Engine())
+    assert check_translation(scene, [Atom("p")]) == (
+        "translation of p disagrees at state {p}"
+    )
+
+
+def test_minimization_check_reports_a_changed_formula(monkeypatch):
+    engine = Engine()
+    p, q = engine.variable("p"), engine.variable("q")
+    watch = engine.atom(p).iff(engine.atom(engine.primed(p)))
+    structure = BeliefStructure(engine, (p, q), engine.true, {"a": watch})
+
+    def forgetful_minimize(pinned, kept):
+        """The reduced structure forgets that a watches p."""
+        return BeliefStructure(engine, tuple(kept), engine.true, {"a": engine.true})
+
+    monkeypatch.setattr(bridge, "minimize", forgetful_minimize)
+    assert check_minimization(Scene(structure, frozenset()), q) == (
+        "minimization changes [a] p at state {p,q}"
+    )
 
 
 # -- formula family ---------------------------------------------------------------

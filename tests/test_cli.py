@@ -371,9 +371,9 @@ def test_printed_laws_and_observations_compile_back(tmp_path, capsys, monkeypatc
     scenes = []
     real = cli._scene_json
 
-    def spy(scene, *args):
+    def spy(scene):
         scenes.append(scene)
-        return real(scene, *args)
+        return real(scene)
 
     monkeypatch.setattr(cli, "_scene_json", spy)
     path = tmp_path / f"{name}.scn"
@@ -393,15 +393,15 @@ def test_printed_laws_and_observations_compile_back(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
 @pytest.mark.parametrize("minimize", [[], ["--minimize"]], ids=["full", "minimize"])
 def test_check_recovers_each_factor_once(tmp_path, capsys, monkeypatch, minimize, json_flag):
-    """The printer's memo lasts the whole run: each distinct factor of
-    the printed laws and observations is recovered once, though most
-    recur unchanged from one scene to the next."""
+    """The engine keeps each recovered formula for the whole run: each
+    distinct factor of the printed laws and observations is recovered
+    once, though most recur unchanged from one scene to the next."""
     scenes, recovered = [], []
     real_scene, real_factor = cli._scene_json, language._recover_factor
 
-    def scene_spy(scene, *args):
+    def scene_spy(scene):
         scenes.append(scene)
-        return real_scene(scene, *args)
+        return real_scene(scene)
 
     def factor_spy(fn):
         recovered.append(fn)

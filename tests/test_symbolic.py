@@ -1180,6 +1180,12 @@ def test_transformer_validation_errors():
     with pytest.raises(VocabularyError, match="^the modified set must not hold a snapshot: p°$"):
         Transformer((), TOP, {pc: TOP})
     assert engine.fresh_copy(p).name == "p°2"
+    # an event variable is new, so it cannot be a snapshot either
+    x = engine.variable("x")
+    with pytest.raises(
+        VocabularyError, match="^the event vocabulary must not hold a snapshot: x°$"
+    ):
+        Transformer((engine.fresh_copy(x),), TOP)
 
 
 def test_modified_variables_follow_the_change_laws_order():
