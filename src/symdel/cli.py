@@ -91,62 +91,56 @@ def _scene_json(scene: Scene) -> dict:
 
 def run_check(args) -> int:
     scenario = load_scenario(args.file)
-    scene = build_scene(scenario, Engine())
-    scenes, events = [scene], []
+    # (event, scene after it) per step; the initial scene has no event
+    steps = [(None, build_scene(scenario, Engine()))]
     try:
-        for event, after in run_events(scenario, scene, args.minimize):
-            events.append(event)
-            scenes.append(after)
+        steps.extend(run_events(scenario, steps[0][1], args.minimize))
     except SymdelError as error:
-        raise SymdelError(f"step {len(scenes)}: {error}") from error
+        raise SymdelError(f"step {len(steps)}: {error}") from error
 
-    checks = []
-    failed = False
+    records, lines = [], []
     for spec in scenario.checks:
-        index = spec.after if spec.after is not None else len(scenario.events)
+        index = _check_step(spec, scenario)
         with at_line(spec.line):
-            value = scene_eval(scenes[index], spec.formula)
+            value = scene_eval(steps[index][1], spec.formula)
         ok = None if spec.expect is None else value == spec.expect
-        if ok is False:
-            failed = True
-        checks.append((spec, index, value, ok))
-
-    if args.json:
-        payload = {
-            "trace": [_scene_json(s) for s in scenes],
-            "checks": [
-                {
-                    "formula": format_formula(spec.formula),
-                    "after": index,
-                    "value": value,
-                    "expect": spec.expect,
-                    "ok": ok,
-                }
-                for spec, index, value, ok in checks
-            ],
-            "ok": not failed,
-        }
-        print(json.dumps(payload, indent=2))
-        return 1 if failed else 0
-
-    print(format_scene(scenes[0], "initial"))
-    for number, (event, after) in enumerate(zip(events, scenes[1:]), start=1):
-        if args.trace:
-            print()
-            print(format_event_block(event.transformer, event.actual))
-        print()
-        print(format_scene(after, f"after event {number}"))
-    if checks:
-        print()
-    for spec, index, value, ok in checks:
+        formula = format_formula(spec.formula)
+        records.append(
+            {"formula": formula, "after": index, "value": value, "expect": spec.expect, "ok": ok}
+        )
         clause = f"after {spec.after} " if spec.after is not None else ""
-        line = f"check {clause}{format_formula(spec.formula)} = {str(value).lower()}"
+        line = f"check {clause}{formula} = {str(value).lower()}"
         if ok is True:
             line += " [ok]"
         elif ok is False:
             line += f" [FAIL expected {str(spec.expect).lower()}]"
-        print(line)
-    return 1 if failed else 0
+        lines.append(line)
+    passed = all(record["ok"] is not False for record in records)
+
+    if args.json:
+        payload = {
+            "trace": [_scene_json(scene) for _, scene in steps],
+            "checks": records,
+            "ok": passed,
+        }
+        print(json.dumps(payload, indent=2))
+    else:
+        print(format_scene(steps[0][1], "initial"))
+        for number, (event, after) in enumerate(steps[1:], start=1):
+            if args.trace:
+                print()
+                print(format_event_block(event.transformer, event.actual))
+            print()
+            print(format_scene(after, f"after event {number}"))
+        if lines:
+            print()
+            print("\n".join(lines))
+    return 0 if passed else 1
+
+
+def _check_step(spec, scenario) -> int:
+    """The step a CHECK reads: after event `after`, else after the last."""
+    return spec.after if spec.after is not None else len(scenario.events)
 
 
 def run_translate(args) -> int:
@@ -191,17 +185,15 @@ def _compile_checks(scenario) -> list[Event]:
     """
     engine = Engine()
     structure = build_scene(scenario, engine).structure
-    structures, events = [structure], []
+    steps = [(None, structure)]
     for spec in scenario.events:
         event = build_event(spec, structure, engine)
         structure = transform_with_copies(structure, event.transformer).structure
-        structures.append(structure)
-        events.append(event)
+        steps.append((event, structure))
     for spec in scenario.checks:
-        index = spec.after if spec.after is not None else len(scenario.events)
         with at_line(spec.line):
-            structures[index].translator.fn(spec.formula)
-    return events
+            steps[_check_step(spec, scenario)][1].translator.fn(spec.formula)
+    return [event for event, _ in steps[1:]]
 
 
 def _print_instance(part: str, seed: int, bounds: Bounds) -> None:

@@ -14,6 +14,10 @@ optional generation number) and by a prime.  `Top` and `Bot` are the
 constants.  `@o` may be written for the degree sign on keyboards
 without one, so `t@o` and `t°` parse the same.
 
+The lexer makes one regular-expression scan of a formula into
+`(kind, text, offset)` tokens; only an error turns an offset into the
+`line N, col M` it reports.
+
 The walkers (`subformulas`, `substitute`, the printer and the compiler)
 dispatch on the exact class of a node; no node class is subclassed.
 The compiler works on the engine's diagram nodes: each connective is a
@@ -241,11 +245,15 @@ def subset_formula(present, universe) -> Formula:
 # sign (or `@o`) with an optional generation number, optionally a prime.
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*(?:(?:°|@o)[0-9]*)?'?"
 
+# Each match skips the whitespace before one token; `end` matches at the
+# end of the text and `stray` takes any other character.
 _TOKEN = re.compile(
-    rf"""(?P<ws>\s+)
-      | (?P<ident>{IDENT})
+    rf"""\s*(?:
+        (?P<ident>{IDENT})
       | (?P<op><->|->|[~&|()\[\]])
-    """,
+      | (?P<end>\Z)
+      | (?P<stray>.)
+    )""",
     re.VERBOSE,
 )
 
@@ -255,121 +263,99 @@ def read_ident(text: str) -> str:
     return text.replace("@o", "°")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident, op, end
-    text: str
-    line: int
-    col: int
-
-
-def _lex(text: str, line0: int = 1) -> list[_Token]:
-    tokens = []
-    line, col = line0, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"stray character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, read_ident(lexeme), line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(_Token("end", "", line, col))
-    return tokens
-
-
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, text: str, line: int):
+        self.text = text
+        self.line = line
+        self.tokens = [
+            (m.lastgroup, read_ident(m[m.lastgroup]), m.start(m.lastgroup))
+            for m in _TOKEN.finditer(text)
+        ]
         self.pos = 0
+        for kind, char, offset in self.tokens:
+            if kind == "stray":
+                raise self.error(f"stray character {char!r}", offset)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, offset: int) -> ParseError:
+        text = self.text
+        line = self.line + text.count("\n", 0, offset)
+        return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
-    def take(self) -> _Token:
+    def take(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
-        tok = self.take()
-        if tok.text != text:
-            got = tok.text or "end of input"
-            raise ParseError(f"expected {text!r}, got {got!r}", tok.line, tok.col)
-        return tok
+    def accept(self, text: str) -> bool:
+        if self.tokens[self.pos][1] != text:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, text: str) -> None:
+        _, got, offset = self.take()
+        if got != text:
+            got = got or "end of input"
+            raise self.error(f"expected {text!r}, got {got!r}", offset)
 
     def formula(self) -> Formula:
         left = self.implication()
-        while self.peek().text == "<->":
-            self.take()
+        while self.accept("<->"):
             left = Iff(left, self.implication())
         return left
 
     def implication(self) -> Formula:
         left = self.disjunction()
-        if self.peek().text == "->":
-            self.take()
+        if self.accept("->"):
             return Implies(left, self.implication())
         return left
 
     def disjunction(self) -> Formula:
         parts = [self.conjunction()]
-        while self.peek().text == "|":
-            self.take()
+        while self.accept("|"):
             parts.append(self.conjunction())
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def conjunction(self) -> Formula:
         parts = [self.unary()]
-        while self.peek().text == "&":
-            self.take()
+        while self.accept("&"):
             parts.append(self.unary())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.text == "~":
-            self.take()
+        if self.accept("~"):
             return Not(self.unary())
-        if tok.text == "[":
-            self.take()
-            agent = self.take()
-            if agent.kind != "ident":
-                raise ParseError("expected an agent name", agent.line, agent.col)
+        if self.accept("["):
+            kind, agent, offset = self.take()
+            if kind != "ident":
+                raise self.error("expected an agent name", offset)
             self.expect("]")
-            return Box(agent.text, self.unary())
+            return Box(agent, self.unary())
         return self.atom()
 
     def atom(self) -> Formula:
-        tok = self.take()
-        if tok.text == "(":
+        kind, text, offset = self.take()
+        if text == "(":
             phi = self.formula()
             self.expect(")")
             return phi
-        if tok.kind == "ident":
-            if tok.text == "Top":
+        if kind == "ident":
+            if text == "Top":
                 return TOP
-            if tok.text == "Bot":
+            if text == "Bot":
                 return BOT
-            return Atom(tok.text)
-        got = tok.text or "end of input"
-        raise ParseError(f"expected a formula, got {got!r}", tok.line, tok.col)
+            return Atom(text)
+        got = text or "end of input"
+        raise self.error(f"expected a formula, got {got!r}", offset)
 
 
 def parse(text: str, line: int = 1) -> Formula:
     """Parse one formula; `line` offsets error positions for embedded text."""
-    parser = _Parser(_lex(text, line))
+    parser = _Parser(text, line)
     phi = parser.formula()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected {tok.text!r} after formula", tok.line, tok.col)
+    kind, rest, offset = parser.take()
+    if kind != "end":
+        raise parser.error(f"unexpected {rest!r} after formula", offset)
     return phi
 
 

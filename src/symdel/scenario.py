@@ -185,7 +185,8 @@ def parse_scenario(text: str) -> Scenario:
     block: EventSpec | ActionSpec | None = None
     kind = None  # "EVENT" or "ACTION" while a block is open
     given = scenario.lines  # (keyword, key) -> line, for the open block
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # only CR, LF and CRLF end a line: a form feed in a comment stays in it
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -405,14 +406,15 @@ def _validate(scenario: Scenario) -> None:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Read and parse a scenario file; text that is not UTF-8 is a ParseError."""
+    """Read and parse a scenario file, after one leading byte-order mark;
+    text that is not UTF-8 is a ParseError at its byte in the file."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as error:
         raise ParseError(f"not UTF-8: {error.reason} at byte {error.start}") from error
-    return parse_scenario(text)
+    return parse_scenario(text.removeprefix("\ufeff"))
 
 
 # -- building ------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Command-line tests: golden outputs, exit codes, JSON shape."""
 
 import json
-import random
+import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -215,6 +214,25 @@ def test_file_not_utf8(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_file_with_a_byte_order_mark(tmp_path, capsys):
+    text = "AGENTS a\nVARS p\nSTATE p\nEVENT\nCHANGE p := ~p\nCHECK p EXPECT false\n"
+    path = tmp_path / "marked.scn"
+    for argv in (["check"], ["check", "--json"], ["translate", "--to", "action"]):
+        path.write_text(text, encoding="utf-8")
+        expected = run(capsys, argv[0], str(path), *argv[1:])
+        assert expected[0] == 0
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert run(capsys, argv[0], str(path), *argv[1:]) == expected
+    # one mark is skipped; a second is text, and a bad byte's offset
+    # counts the mark
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbf" + text.encode("utf-8"))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", f"{path}: line 1: unknown keyword: \ufeffAGENTS\n")
+    path.write_bytes(b"\xef\xbb\xbfAG\xffENTS a\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", f"{path}: not UTF-8: invalid start byte at byte 5\n")
+
+
 def test_check_parse_error(tmp_path, capsys):
     path = tmp_path / "broken.scn"
     path.write_text("VARS p\nLAW p &\n", encoding="utf-8")
@@ -279,52 +297,6 @@ def test_check_unknown_atom_in_query(tmp_path, capsys):
         code, _, err = run(capsys, "check", str(path))
         assert code == 2, query
         assert "line 5" in err, query
-
-
-def _mutants(count: int, seed: int):
-    """Scenario files with one line deleted or duplicated, or one token replaced
-    by another token of the shipped scenarios."""
-    rng = random.Random(seed)
-    sources = [
-        path.read_text(encoding="utf-8").splitlines()
-        for path in sorted(SCENARIOS.glob("*.scn"))
-    ]
-    tokens = sorted({token for lines in sources for line in lines for token in line.split()})
-    for _ in range(count):
-        lines = list(rng.choice(sources))
-        k = rng.choice([i for i, line in enumerate(lines) if line.strip()[:1] not in ("", "#")])
-        kind = rng.randrange(3)
-        if kind == 0:
-            del lines[k]
-        elif kind == 1:
-            lines.insert(k, lines[k])
-        else:
-            words = lines[k].split()
-            words[rng.randrange(len(words))] = rng.choice(tokens)
-            lines[k] = " ".join(words)
-        yield "\n".join(lines) + "\n"
-
-
-def test_mutated_scenarios_exit_0_1_or_2(tmp_path, capsys):
-    path = tmp_path / "mutant.scn"
-    commands = (
-        ["check"],
-        ["check", "--minimize", "--json"],
-        ["translate", "--to", "action"],
-        ["translate", "--to", "transformer"],
-    )
-    codes = Counter()
-    for number, text in enumerate(_mutants(200, seed=12)):
-        path.write_text(text, encoding="utf-8")
-        for command in commands:
-            try:
-                code, _, _ = run(capsys, command[0], str(path), *command[1:])
-            except Exception as error:
-                pytest.fail(f"mutant {number}, {command}: {error!r}\n{text}")
-            assert code in (0, 1, 2), (number, command, text)
-            codes[code] += 1
-    # both accepted and rejected files, so the contract was exercised
-    assert codes[0] and codes[2], codes
 
 
 DEEP_CHECK = "AGENTS a\nVARS p\nLAW p\nSTATE p\nCHECK " + "~" * 1200 + "p\n"
@@ -450,6 +422,48 @@ def test_printed_event_observations_compile_back(capsys, monkeypatch):
     for line in printed:
         agent, text = line.split(": ", 1)
         _assert_prints(transformer.event_obs[agent], text, vocabulary)
+
+
+# -- text and JSON agree -------------------------------------------------------------
+
+_CHECK_LINE = re.compile(
+    r"check (?:after (\d+) )?(.*) = (true|false)(?: \[(ok|FAIL expected (?:true|false))\])?"
+)
+
+# the chains carry no CHECK of their own: these hold, fail, or ask
+CHECKED_INPUTS = {
+    **ROUND_TRIP_INPUTS,
+    "flips_8": ROUND_TRIP_INPUTS["flips_8"]
+    + "CHECK p\nCHECK after 3 [b] p EXPECT false\nCHECK [a] ([b] p | [b] ~p) EXPECT true\n",
+    "sally_anne_4": ROUND_TRIP_INPUTS["sally_anne_4"]
+    + "CHECK after 13 [Sally] t EXPECT true\nCHECK [Anne] ~t EXPECT false\nCHECK after 0 p\n",
+}
+
+
+@pytest.mark.parametrize("minimize", [[], ["--minimize"]], ids=["full", "minimize"])
+@pytest.mark.parametrize("name", sorted(CHECKED_INPUTS))
+def test_text_and_json_describe_the_same_checks(tmp_path, capsys, name, minimize):
+    path = tmp_path / f"{name}.scn"
+    path.write_text(CHECKED_INPUTS[name], encoding="utf-8")
+    code, out, _ = run(capsys, "check", str(path), *minimize)
+    json_code, json_out, _ = run(capsys, "check", str(path), "--json", *minimize)
+    assert code == json_code
+    payload = json.loads(json_out)
+    lines = [line for line in out.splitlines() if line.startswith("check ")]
+    assert len(lines) == len(payload["checks"])
+    last = len(payload["trace"]) - 1
+    for line, record in zip(lines, payload["checks"]):
+        after, formula, value, verdict = _CHECK_LINE.fullmatch(line).groups()
+        assert formula == record["formula"]
+        assert value == str(record["value"]).lower()
+        assert record["after"] == (last if after is None else int(after))
+        if record["ok"] is None:
+            assert verdict is None and record["expect"] is None
+        elif record["ok"]:
+            assert verdict == "ok"
+        else:
+            assert verdict == f"FAIL expected {str(record['expect']).lower()}"
+    assert payload["ok"] == (code == 0)
 
 
 # -- translate --------------------------------------------------------------------

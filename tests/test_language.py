@@ -107,6 +107,29 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse("(p", line=7)
     assert "line 7" in str(err.value)
+    # the exact position of each of the parser's errors: a column counts
+    # a tab as one, and a newline starts the next line at column 1
+    for text, line, message in [
+        ("p $ q", 1, "line 1, col 3: stray character '$'"),
+        ("\t \t$", 1, "line 1, col 4: stray character '$'"),
+        ("p &\n  (q |\n\t@)", 4, "line 6, col 2: stray character '@'"),
+        # a stray character is found before any other error
+        ("p & & $", 1, "line 1, col 7: stray character '$'"),
+        ("[a p", 1, "line 1, col 4: expected ']', got 'p'"),
+        ("(p", 7, "line 7, col 3: expected ')', got 'end of input'"),
+        ("  (p &\n\t q\n", 2, "line 4, col 1: expected ')', got 'end of input'"),
+        ("[~] p", 1, "line 1, col 2: expected an agent name"),
+        ("~\n  [\t(a] q", 3, "line 4, col 5: expected an agent name"),
+        ("p & ", 1, "line 1, col 5: expected a formula, got 'end of input'"),
+        ("  \t", 1, "line 1, col 4: expected a formula, got 'end of input'"),
+        ("p ->\n\t\t) q", 10, "line 11, col 3: expected a formula, got ')'"),
+        ("  p q", 1, "line 1, col 5: unexpected 'q' after formula"),
+        ("p\r\n & q r", 1, "line 2, col 6: unexpected 'r' after formula"),
+        ("\n\n\tp° & q\n  & [a] r)", 5, "line 8, col 10: unexpected ')' after formula"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse(text, line=line)
+        assert str(err.value) == message, text
 
 
 # -- helpers ------------------------------------------------------------------

@@ -2,9 +2,10 @@
 reads a file: each call ends in exit code 0, 1 or 2 and raises nothing.
 
 A mutant is a scenario file with one to three lines deleted, duplicated
-or swapped, tokens deleted or inserted, or lines inserted that are
-likely to meet a check: an ADDVARS, a PRE with an event variable under
-a belief operator, a CHANGE of a decorated name.
+or swapped, tokens deleted, inserted or replaced by a token of any
+scenario file, or lines inserted that are likely to meet a check: an
+ADDVARS, a PRE with an event variable under a belief operator, a CHANGE
+of a decorated name.
 """
 
 import random
@@ -26,6 +27,11 @@ MUTANTS = 500
 
 EXTRA_TOKENS = ["x", "p'", "~", "&", "->", "(", ")", "[a]", "Top", "Bot", ":", ":="]
 
+# every token of every scenario file, for the replacing edit
+SCENARIO_TOKENS = sorted(
+    {token for path in SCENARIOS for token in path.read_text(encoding="utf-8").split()}
+)
+
 
 def mutant(text: str, rng: random.Random) -> str:
     """The scenario text with one to three random edits."""
@@ -45,7 +51,7 @@ def mutant(text: str, rng: random.Random) -> str:
     tokens = text.split() + EXTRA_TOKENS
     for _ in range(rng.randint(1, 3)):
         at = rng.randrange(len(lines) + 1)
-        op = rng.randrange(6)
+        op = rng.randrange(7)
         if op == 0 and at < len(lines):
             del lines[at]
         elif op == 1 and at < len(lines):
@@ -53,12 +59,14 @@ def mutant(text: str, rng: random.Random) -> str:
         elif op == 2 and len(lines) > 1:
             i, j = rng.sample(range(len(lines)), 2)
             lines[i], lines[j] = lines[j], lines[i]
-        elif op in (3, 4) and at < len(lines) and lines[at].split():
+        elif op in (3, 4, 5) and at < len(lines) and lines[at].split():
             words = lines[at].split()
             if op == 3:
                 del words[rng.randrange(len(words))]
-            else:
+            elif op == 4:
                 words.insert(rng.randrange(len(words) + 1), rng.choice(tokens))
+            else:
+                words[rng.randrange(len(words))] = rng.choice(SCENARIO_TOKENS)
             lines[at] = " ".join(words)
         else:
             # most inserted lines belong in an EVENT block

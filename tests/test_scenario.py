@@ -103,6 +103,20 @@ def test_comments_and_blank_lines_are_ignored():
     assert scenario.vars == ["p"]
 
 
+@pytest.mark.parametrize(
+    "char", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_only_cr_lf_and_crlf_end_a_line(char):
+    # the other characters that str.splitlines breaks at stay in their
+    # line: in a comment they are comment text, elsewhere whitespace
+    text = f"AGENTS a # note{char}more\r\nVARS p q\rLAW p &{char}q\nCHECK{char}p\r\n"
+    scenario = parse_scenario(text)
+    assert scenario.agents == ["a"]
+    assert scenario.law == parse("p & q")
+    assert [(c.line, c.formula) for c in scenario.checks] == [(4, parse("p"))]
+    assert _error(text + f"STATE p{char}z") == "line 5: STATE uses undeclared variable: z"
+
+
 def test_check_line_variants():
     scenario = parse_scenario(
         "AGENTS a\nVARS p q\n"
