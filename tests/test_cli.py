@@ -1,9 +1,11 @@
 """Command-line tests: golden outputs, exit codes, JSON shape."""
 
 import json
+import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -297,6 +299,52 @@ def test_check_unknown_atom_in_query(tmp_path, capsys):
         code, _, err = run(capsys, "check", str(path))
         assert code == 2, query
         assert "line 5" in err, query
+
+
+def _mutants(count: int, seed: int):
+    """Scenario files with one line deleted or duplicated, or one token replaced
+    by another token of the shipped scenarios."""
+    rng = random.Random(seed)
+    sources = [
+        path.read_text(encoding="utf-8").splitlines()
+        for path in sorted(SCENARIOS.glob("*.scn"))
+    ]
+    tokens = sorted({token for lines in sources for line in lines for token in line.split()})
+    for _ in range(count):
+        lines = list(rng.choice(sources))
+        k = rng.choice([i for i, line in enumerate(lines) if line.strip()[:1] not in ("", "#")])
+        kind = rng.randrange(3)
+        if kind == 0:
+            del lines[k]
+        elif kind == 1:
+            lines.insert(k, lines[k])
+        else:
+            words = lines[k].split()
+            words[rng.randrange(len(words))] = rng.choice(tokens)
+            lines[k] = " ".join(words)
+        yield "\n".join(lines) + "\n"
+
+
+def test_mutated_scenarios_exit_0_1_or_2(tmp_path, capsys):
+    path = tmp_path / "mutant.scn"
+    commands = (
+        ["check"],
+        ["check", "--minimize", "--json"],
+        ["translate", "--to", "action"],
+        ["translate", "--to", "transformer"],
+    )
+    codes = Counter()
+    for number, text in enumerate(_mutants(200, seed=12)):
+        path.write_text(text, encoding="utf-8")
+        for command in commands:
+            try:
+                code, _, _ = run(capsys, command[0], str(path), *command[1:])
+            except Exception as error:
+                pytest.fail(f"mutant {number}, {command}: {error!r}\n{text}")
+            assert code in (0, 1, 2), (number, command, text)
+            codes[code] += 1
+    # both accepted and rejected files, so the contract was exercised
+    assert codes[0] and codes[2], codes
 
 
 DEEP_CHECK = "AGENTS a\nVARS p\nLAW p\nSTATE p\nCHECK " + "~" * 1200 + "p\n"
